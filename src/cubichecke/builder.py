@@ -25,7 +25,7 @@ from .catalog import (
 from .errors import GaugeInconsistent, PoleOnLocus
 from .jm import AB2BlockSpec, ab2_matrix, block_spec
 from .matrix import Matrix
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, valuation
 from .specialize import Specialization
 
 
@@ -112,25 +112,6 @@ def _generic_block(kind: str, g2: ModuleLabel | None, g4: ModuleLabel, gauge: st
     return ab2_matrix(spec, spec.rank1_eigenvalue, gauge)
 
 
-def _entry_order(a: RatFunc, gen) -> int | None:
-    """Vanishing order of a nonzero entry along the prime generator (None = zero entry)."""
-    from .laurent import divides, exact_div
-
-    if a.is_zero():
-        return None
-    num, _ = a.num.shift_nonnegative()
-    order = 0
-    while divides(gen, num):
-        num = exact_div(num, gen)
-        order += 1
-    for f, e in a.fac.items():
-        ff = f
-        while divides(gen, ff):
-            ff = exact_div(ff, gen)
-            order -= e
-    return order
-
-
 def _adapted_scalars(mats: list[Matrix], gen) -> list[int]:
     """Powers of the prime generator rescaling the path basis into the local
     ring: the difference constraints k_t - k_r <= ord(entry_rt) over every
@@ -142,11 +123,10 @@ def _adapted_scalars(mats: list[Matrix], gen) -> list[int]:
     for m in mats:
         for r in range(n):
             for t in range(n):
-                if r == t:
+                a = m.entries[r][t]
+                if r == t or a.is_zero():
                     continue
-                o = _entry_order(m.entries[r][t], gen)
-                if o is None:
-                    continue
+                o = valuation(a, gen)
                 if (r, t) not in best or o < best[(r, t)]:
                     best[(r, t)] = o
     if all(o >= 0 for o in best.values()):
@@ -437,7 +417,7 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
             # parameters on this locus; pin them to 1 and let the full
             # residual verification below decide
             for u in sorted(remaining):
-                solution[u] = RatFunc.one(3)
+                solution[u] = RatFunc.one()
                 free_pins += 1
             remaining.clear()
     if free_pins:
@@ -567,19 +547,20 @@ def _scalar_check_via_jm(g: GeneratorSet, scalar: RatFunc) -> CheckResult:
 # -- weight diagnostics (generic context) -----------------------------------------------
 
 
-def scaled_projection(m: Matrix, r: int) -> Matrix:
-    """P_{k r} = prod_{s != r} (S_k - l_s), the scaled weight projection."""
-    lam = [RatFunc.var(k) for k in range(3)]
+def scaled_projection(m: Matrix, r: int, lams) -> Matrix:
+    """P_{k r} = prod_{s != r} (S_k - l_s), the scaled weight projection;
+    ``lams`` are the images of l1, l2, l3 in the working field."""
     out = Matrix.identity(m.rows)
     for s in (1, 2, 3):
         if s != r:
-            out = out * m.add_scalar(-lam[s - 1])
+            out = out * m.add_scalar(-lams[s - 1])
     return out
 
 
 def weight_operator(g: GeneratorSet, i: int, j: int) -> Matrix:
     """B(i, j) = P_{1 i} P_{3 j}; its image is the (i, j) weight space."""
-    return scaled_projection(g.S1, i) * scaled_projection(g.S3, j)
+    lams = g.eigenvalues()
+    return scaled_projection(g.S1, i, lams) * scaled_projection(g.S3, j, lams)
 
 
 @dataclass
@@ -610,7 +591,7 @@ def weight_report(g: GeneratorSet, with_d: bool | None = None) -> WeightReport:
     if with_d is None:
         with_d = sorted(g.label.exps, reverse=True) == [3, 2, 1]
     if with_d:
-        p23 = scaled_projection(g.S2, 3)
+        p23 = scaled_projection(g.S2, 3, g.eigenvalues())
         for (i, j), op in ops.items():
             d_scalars[(i, j)] = extract_scalar(op * p23 * op, op)
     return WeightReport(g.label, ranks, d_scalars, expected)
@@ -645,13 +626,13 @@ def delta4_weight_charpoly(g: GeneratorSet) -> list:
     if sorted(g.label.exps, reverse=True) != [4, 2, 2] or g.context is not None:
         raise ValueError("defined for the generic 8-dimensional modules")
     r = g.label.exps.index(4) + 1
-    lam = [RatFunc.var(k) for k in range(3)]
+    lam = g.eigenvalues()
     others = [s for s in (1, 2, 3) if s != r]
-    denom = RatFunc.one(3)
+    denom = RatFunc.one()
     for s in others:
         denom = denom * (lam[r - 1] - lam[s - 1])
     inv = denom.inv()
-    proj1 = scaled_projection(g.S1, r).scale(inv)
-    proj3 = scaled_projection(g.S3, r).scale(inv)
+    proj1 = scaled_projection(g.S1, r, lam).scale(inv)
+    proj3 = scaled_projection(g.S3, r, lam).scale(inv)
     b = g.delta_matrix() * proj1 * proj3
     return [c.reduce() for c in b.charpoly()]

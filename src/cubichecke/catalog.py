@@ -31,21 +31,6 @@ PERMS = (
     (2, 0, 1),
     (2, 1, 0),
 )
-IDENTITY = (0, 1, 2)
-
-
-def perm_compose(p, q):
-    """(p o q)(k) = p(q(k))."""
-    return tuple(p[q[k]] for k in range(3))
-
-
-def perm_inverse(p):
-    out = [0, 0, 0]
-    for k in range(3):
-        out[p[k]] = k
-    return tuple(out)
-
-
 def perm_exps(p, exps):
     out = [0, 0, 0]
     for k, e in enumerate(exps):
@@ -54,15 +39,11 @@ def perm_exps(p, exps):
 
 
 def perm_poly(p, poly: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(poly.nvars, {perm_exps(p, e): c for e, c in poly.terms.items()})
+    return LaurentPoly({perm_exps(p, e): c for e, c in poly.terms.items()})
 
 
 def perm_ratfunc(p, f: RatFunc) -> RatFunc:
     return RatFunc(perm_poly(p, f.num), perm_poly(p, f.den))
-
-
-def perm_weight(p, w):
-    return (p[w[0] - 1] + 1, p[w[1] - 1] + 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -156,10 +137,6 @@ class Path:
     __repr__ = __str__
 
 
-def perm_path(p, path: Path) -> Path:
-    return Path(perm_label(p, path.g2), perm_label(p, path.g3), perm_label(p, path.g4))
-
-
 @dataclass(frozen=True)
 class RegularModuleSpec:
     label: ModuleLabel
@@ -170,12 +147,6 @@ class RegularModuleSpec:
 
     def weight_multiset(self) -> dict:
         return {(i, j): m for (i, j, m) in self.weights}
-
-    def sigma1_spectrum(self) -> dict:
-        out: dict[int, int] = {}
-        for (i, _j, m) in self.weights:
-            out[i] = out.get(i, 0) + m
-        return out
 
 
 # -- base level-4 families -------------------------------------------------------

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from .catalog import (
     ModuleLabel,
     Path,
-    PrimeIdealSpec,
     delta_scalar,
     enumerate_paths,
     spec_for,
 )
 from .errors import HypothesisViolated, PathBasisUnavailable
-from .laurent import divides, exact_div
 from .matrix import Matrix
 from .ratfunc import RatFunc
 from .specialize import Specialization
@@ -64,7 +62,7 @@ class ProjectionDiagonals:
     d: tuple
 
     def total(self) -> RatFunc:
-        out = RatFunc.zero(3)
+        out = RatFunc.zero()
         for v in self.d:
             out = out + v
         return out
@@ -76,24 +74,9 @@ def _lam(i: int) -> RatFunc:
 
 def _designate(spectrum) -> tuple:
     """Minimal-multiplicity eigenvalue, ties broken by eigenvalue index order."""
-    mult1 = [ev for (ev, m) in spectrum if m == min(m for (_e, m) in spectrum)]
-    mu = mult1[0]
-    others = []
-    for ev, m in spectrum:
-        if ev == mu:
-            m -= 1
-        others.extend([ev] * m)
-    if len(others) == 0:
-        pair = (mu, mu)
-    elif len(set(str(o) for o in others)) == 1:
-        pair = (others[0], others[0])
-    else:
-        distinct = []
-        for o in others:
-            if all(o != d for d in distinct):
-                distinct.append(o)
-        pair = (distinct[0], distinct[1])
-    return mu, pair
+    low = min(m for (_e, m) in spectrum)
+    mu = next(ev for (ev, m) in spectrum if m == low)
+    return mu, _pair_for(spectrum, mu)
 
 
 def block_spec(g2: ModuleLabel, g4: ModuleLabel, generator_index: int) -> AB2BlockSpec:
@@ -142,9 +125,10 @@ def _spectrum_mult(spec: AB2BlockSpec, mu: RatFunc) -> int:
     return 0
 
 
-def _pair_for(spec: AB2BlockSpec, mu: RatFunc) -> tuple:
+def _pair_for(spectrum, mu: RatFunc) -> tuple:
+    """The two eigenvalues left after one copy of mu (equal when they coincide)."""
     others = []
-    for ev, m in spec.a_spectrum:
+    for ev, m in spectrum:
         if ev == mu:
             m -= 1
         others.extend([ev] * m)
@@ -168,8 +152,8 @@ def ab2_diag(spec: AB2BlockSpec, mu: RatFunc) -> ProjectionDiagonals:
     n = spec.size
     spec.check_x_distinct()
     if n == 1:
-        return ProjectionDiagonals(mu, (RatFunc.one(3),))
-    l1, l2 = _pair_for(spec, mu)
+        return ProjectionDiagonals(mu, (RatFunc.one(),))
+    l1, l2 = _pair_for(spec.a_spectrum, mu)
     if n == 2:
         # two distinct eigenvalues: the quadratic-case formula
         lam = l1
@@ -210,7 +194,7 @@ def _b_value(spec: AB2BlockSpec, mu: RatFunc, l1: RatFunc, l2: RatFunc, r: int) 
     eps = 1 if n % 2 == 0 else 0
     delta = spec.delta
     xr = spec.x[r]
-    prod_x = RatFunc.one(3)
+    prod_x = RatFunc.one()
     for xt in spec.x:
         prod_x = prod_x * xt
     first = mu * (l1 * l2 * xr + delta / xr) / delta * prod_x
@@ -246,7 +230,7 @@ def ab2_matrix(spec: AB2BlockSpec, mu: RatFunc, gauge: str = "row") -> Matrix:
         return Matrix([[mu]])
     diag = ab2_diag(spec, mu)
     d = diag.d
-    l1, l2 = _pair_for(spec, mu)
+    l1, l2 = _pair_for(spec.a_spectrum, mu)
     if n == 2:
         lam = l1
         entries = []
@@ -285,7 +269,7 @@ def ab2_matrix_closed_form(spec: AB2BlockSpec, mu: RatFunc) -> Matrix:
     """Off-diagonal entries straight from the closing formula (row gauge);
     used as an independent cross-check of the projection route."""
     n = spec.size
-    l1, l2 = _pair_for(spec, mu)
+    l1, l2 = _pair_for(spec.a_spectrum, mu)
     delta = spec.delta
     m = ab2_matrix(spec, mu, "row")
     entries = [row[:] for row in m.entries]
@@ -303,19 +287,3 @@ def ab2_matrix_closed_form(spec: AB2BlockSpec, mu: RatFunc) -> Matrix:
             entries[r][t] = val.reduce()
     return Matrix(entries)
 
-
-def vanishing_order(f: RatFunc, p: PrimeIdealSpec) -> int:
-    """Largest k with generator^k dividing the numerator of f (f nonzero)."""
-    if f.is_zero():
-        raise ValueError("vanishing order of 0 is infinite")
-    f = f.reduce()
-    num, _ = f.num.shift_nonnegative()
-    den, _ = f.den.shift_nonnegative()
-    gen = p.generator
-    if divides(gen, den):
-        raise ValueError("denominator of %s vanishes on the locus of %s" % (f, p))
-    order = 0
-    while divides(gen, num):
-        num = exact_div(num, gen)
-        order += 1
-    return order

@@ -17,44 +17,40 @@ _NAMES = ("l1", "l2", "l3")
 
 
 class LaurentPoly:
-    """A Laurent polynomial in ``nvars`` variables over Q(zeta12)."""
+    """A Laurent polynomial in l1, l2, l3 over Q(zeta12)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = terms if terms is not None else {}
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int = 3) -> "LaurentPoly":
-        return cls(nvars, {})
+    def zero(cls) -> "LaurentPoly":
+        return cls({})
 
     @classmethod
-    def const(cls, coeff: Cyclotomic, nvars: int = 3) -> "LaurentPoly":
+    def const(cls, coeff: Cyclotomic) -> "LaurentPoly":
         if coeff.is_zero():
-            return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: coeff})
+            return cls({})
+        return cls({(0, 0, 0): coeff})
 
     @classmethod
-    def one(cls, nvars: int = 3) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: ONE})
+    def one(cls) -> "LaurentPoly":
+        return cls({(0, 0, 0): ONE})
 
     @classmethod
-    def var(cls, index: int, nvars: int = 3) -> "LaurentPoly":
-        exps = [0] * nvars
+    def var(cls, index: int) -> "LaurentPoly":
+        exps = [0, 0, 0]
         exps[index] = 1
-        return cls(nvars, {tuple(exps): ONE})
+        return cls({tuple(exps): ONE})
 
     @classmethod
-    def monomial(cls, exps, coeff: Cyclotomic = ONE, nvars: int | None = None) -> "LaurentPoly":
-        exps = tuple(exps)
-        if nvars is None:
-            nvars = len(exps)
+    def monomial(cls, exps, coeff: Cyclotomic = ONE) -> "LaurentPoly":
         if coeff.is_zero():
-            return cls(nvars, {})
-        return cls(nvars, {exps: coeff})
+            return cls({})
+        return cls({tuple(exps): coeff})
 
     # -- predicates ----------------------------------------------------------
 
@@ -95,7 +91,7 @@ class LaurentPoly:
                     del out[e]
                 else:
                     out[e] = s
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -109,15 +105,15 @@ class LaurentPoly:
                     del out[e]
                 else:
                     out[e] = s
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self.terms, other.terms
         if not a or not b:
-            return LaurentPoly(self.nvars, {})
+            return LaurentPoly({})
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -128,34 +124,18 @@ class LaurentPoly:
                     p = ca * cb
                     if not p.is_zero():
                         out[eb] = p
-                return LaurentPoly(self.nvars, out)
+                return LaurentPoly(out)
             for eb, cb in b.items():
                 p = ca * cb
                 if not p.is_zero():
                     out[tuple(x + y for x, y in zip(ea, eb))] = p
-            return LaurentPoly(self.nvars, out)
-        if self.nvars == 3:
-            get = out.get
-            for (a0, a1, a2), ca in a.items():
-                for (b0, b1, b2), cb in b.items():
-                    e = (a0 + b0, a1 + b1, a2 + b2)
-                    p = ca * cb
-                    cur = get(e)
-                    if cur is None:
-                        if not p.is_zero():
-                            out[e] = p
-                    else:
-                        s = cur + p
-                        if s.is_zero():
-                            del out[e]
-                        else:
-                            out[e] = s
-            return LaurentPoly(3, out)
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+            return LaurentPoly(out)
+        get = out.get
+        for (a0, a1, a2), ca in a.items():
+            for (b0, b1, b2), cb in b.items():
+                e = (a0 + b0, a1 + b1, a2 + b2)
                 p = ca * cb
-                cur = out.get(e)
+                cur = get(e)
                 if cur is None:
                     if not p.is_zero():
                         out[e] = p
@@ -165,14 +145,14 @@ class LaurentPoly:
                         del out[e]
                     else:
                         out[e] = s
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(out)
 
     def scale(self, coeff: Cyclotomic) -> "LaurentPoly":
         if coeff.is_zero():
-            return LaurentPoly(self.nvars, {})
+            return LaurentPoly({})
         if coeff.is_one():
             return self
-        return LaurentPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+        return LaurentPoly({e: c * coeff for e, c in self.terms.items()})
 
     def mul_monomial(self, exps, coeff: Cyclotomic = ONE) -> "LaurentPoly":
         exps = tuple(exps)
@@ -183,15 +163,15 @@ class LaurentPoly:
             p = c * coeff
             if not p.is_zero():
                 out[tuple(x + y for x, y in zip(e, exps))] = p
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self.terms.items()
-            return LaurentPoly.monomial(tuple(-x for x in e), c.inverse(), self.nvars) ** (-n)
-        result = LaurentPoly.one(self.nvars)
+            return LaurentPoly.monomial(tuple(-x for x in e), c.inverse()) ** (-n)
+        result = LaurentPoly.one()
         base = self
         while n:
             if n & 1:
@@ -242,7 +222,7 @@ class LaurentPoly:
     def shift_nonnegative(self) -> tuple["LaurentPoly", tuple]:
         """Strip monomial content: self = l^shift * ordinary, ordinary min exps 0."""
         if self.is_zero():
-            return self, (0,) * self.nvars
+            return self, (0, 0, 0)
         mins = self.min_exps()
         if not any(mins):
             return self, mins
@@ -254,7 +234,7 @@ class LaurentPoly:
     def substitute(self, var: int, coeff: Cyclotomic, exps) -> "LaurentPoly":
         """Replace variable ``var`` by ``coeff * l^exps`` (exps[var] must be 0)."""
         exps = tuple(exps)
-        out = LaurentPoly(self.nvars, {})
+        out = LaurentPoly({})
         cache: dict[int, Cyclotomic] = {0: ONE}
         for e, c in self.terms.items():
             m = e[var]
@@ -266,7 +246,7 @@ class LaurentPoly:
             newe = tuple(
                 (0 if k == var else x) + m * exps[k] for k, x in enumerate(e)
             )
-            out = out + LaurentPoly.monomial(newe, newc, self.nvars)
+            out = out + LaurentPoly.monomial(newe, newc)
         return out
 
     def eval_point(self, values) -> Cyclotomic:
@@ -327,7 +307,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
-        return LaurentPoly.zero(f.nvars)
+        return LaurentPoly.zero()
     if g.is_monomial():
         ((eg, cg),) = g.terms.items()
         inv = cg.inverse()
@@ -337,7 +317,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
             if any(x < 0 for x in ne):
                 raise ValueError("inexact division")
             out[ne] = c * inv
-        return LaurentPoly(f.nvars, out)
+        return LaurentPoly(out)
     # cheap rejections: the leading and trailing monomials of an exact product
     # are products of the factors' leading and trailing monomials
     if any(x < y for x, y in zip(min(f.terms), min(g.terms))):
@@ -370,7 +350,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
                     del rem[key]
                 else:
                     rem[key] = s
-    return LaurentPoly(f.nvars, qterms)
+    return LaurentPoly(qterms)
 
 
 def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
@@ -389,19 +369,10 @@ def _coeffs_in_var(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
         key = tuple(0 if k == var else x for k, x in enumerate(e))
         cur = out.get(d)
         if cur is None:
-            out[d] = LaurentPoly(f.nvars, {key: c})
+            out[d] = LaurentPoly({key: c})
         else:
             cur.terms[key] = c
     return out
-
-
-def _from_coeffs(coeffs: dict[int, LaurentPoly], var: int, nvars: int) -> LaurentPoly:
-    terms = {}
-    for d, p in coeffs.items():
-        for e, c in p.terms.items():
-            ne = tuple(d if k == var else x for k, x in enumerate(e))
-            terms[ne] = c
-    return LaurentPoly(nvars, terms)
 
 
 def _lc_in_var(f: LaurentPoly, var: int):
@@ -411,7 +382,7 @@ def _lc_in_var(f: LaurentPoly, var: int):
 
 
 def _mul_var_power(f: LaurentPoly, var: int, d: int) -> LaurentPoly:
-    exps = [0] * f.nvars
+    exps = [0, 0, 0]
     exps[var] = d
     return f.mul_monomial(tuple(exps))
 
@@ -469,14 +440,14 @@ def _gcd_univariate(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
         while a and a[-1].is_zero():
             a.pop()
         a, b = b, a
-    exps = [0] * f.nvars
+    exps = [0, 0, 0]
     terms = {}
     inv = a[-1].inverse()
     for d, c in enumerate(a):
         if not c.is_zero():
             exps[var] = d
             terms[tuple(exps)] = c * inv
-    return LaurentPoly(f.nvars, terms)
+    return LaurentPoly(terms)
 
 
 def _content_in_var(f: LaurentPoly, var: int) -> LaurentPoly:
@@ -496,8 +467,8 @@ def _subresultant_last(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
     if n < m:
         f, g, n, m = g, f, m, n
     d = n - m
-    minus_one = LaurentPoly.const(Cyclotomic(-1), f.nvars)
-    b = minus_one if d % 2 == 0 else LaurentPoly.one(f.nvars)
+    minus_one = LaurentPoly.const(Cyclotomic(-1))
+    b = minus_one if d % 2 == 0 else LaurentPoly.one()
     h = pseudo_rem(f, g, var) * b
     _, lc = _lc_in_var(g, var)
     c = lc ** d
@@ -536,19 +507,17 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if f.is_const() or g.is_const():
-        return LaurentPoly.one(f.nvars)
+        return LaurentPoly.one()
     if f.is_monomial() or g.is_monomial():
         mins_f = f.min_exps()
         mins_g = g.min_exps()
-        return LaurentPoly.monomial(
-            tuple(min(a, b) for a, b in zip(mins_f, mins_g)), ONE, f.nvars
-        )
+        return LaurentPoly.monomial(tuple(min(a, b) for a, b in zip(mins_f, mins_g)))
     if f.terms == g.terms:
         return f
     av_f, av_g = f.active_vars(), g.active_vars()
     both = av_f & av_g
     if not both:
-        return LaurentPoly.one(f.nvars)
+        return LaurentPoly.one()
     if len(av_f) == 1 == len(av_g) and av_f == av_g:
         return _gcd_univariate(f, g, next(iter(both)))
     var = min(both, key=lambda v: min(f.degree(v), g.degree(v)))
@@ -572,5 +541,5 @@ def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 def poly_lcm(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if f.is_zero() or g.is_zero():
-        return LaurentPoly.zero(f.nvars)
+        return LaurentPoly.zero()
     return _normalize_monic(exact_div(f * g, poly_gcd(f, g)))

@@ -26,29 +26,24 @@ class Matrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, nvars: int = 3) -> "Matrix":
-        one = RatFunc.one(nvars)
-        zero = RatFunc.zero(nvars)
+    def identity(cls, n: int) -> "Matrix":
+        one = RatFunc.one()
+        zero = RatFunc.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int, nvars: int = 3) -> "Matrix":
-        z = RatFunc.zero(nvars)
+    def zero(cls, rows: int, cols: int) -> "Matrix":
+        z = RatFunc.zero()
         return cls([[z for _ in range(cols)] for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, values: list[RatFunc]) -> "Matrix":
         n = len(values)
-        nv = values[0].num.nvars
-        z = RatFunc.zero(nv)
+        z = RatFunc.zero()
         return cls([[values[i] if i == j else z for j in range(n)] for i in range(n)])
 
     def copy(self) -> "Matrix":
         return Matrix([row[:] for row in self.entries])
-
-    @property
-    def nvars(self) -> int:
-        return self.entries[0][0].num.nvars
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -73,7 +68,7 @@ class Matrix:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.entries))
         out = []
-        zero = RatFunc.zero(self.nvars)
+        zero = RatFunc.zero()
         for row in self.entries:
             nz = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
             new_row = []
@@ -101,7 +96,7 @@ class Matrix:
         return out
 
     def trace(self) -> RatFunc:
-        t = RatFunc.zero(self.nvars)
+        t = RatFunc.zero()
         for i in range(self.rows):
             t = t + self.entries[i][i]
         return t
@@ -184,7 +179,7 @@ class Matrix:
         Raises ValueError when the residual (M - mu) P is nonzero.
         """
         n = self.rows
-        proj = Matrix.identity(n, self.nvars)
+        proj = Matrix.identity(n)
         mult = None
         for nu, m in spectrum:
             if nu == mu:
@@ -201,16 +196,6 @@ class Matrix:
             raise ValueError("spectrum mismatch: (M - mu)P != 0")
         return proj
 
-    def scaled_eigenprojection(self, index: int, eigenvalues: list[RatFunc]) -> "Matrix":
-        """The product form prod_{s != index} (M - eigenvalue_s), no normalization."""
-        n = self.rows
-        out = Matrix.identity(n, self.nvars)
-        for s, nu in enumerate(eigenvalues):
-            if s == index:
-                continue
-            out = out * self.add_scalar(-nu)
-        return out
-
     # -- characteristic polynomial ------------------------------------------------
 
     def charpoly(self) -> list[RatFunc]:
@@ -219,10 +204,9 @@ class Matrix:
             raise ValueError("charpoly needs a square matrix")
         n = self.rows
         if n == 0:
-            return [RatFunc.one(3)]
+            return [RatFunc.one()]
         blocks = self._components()
-        nv = self.nvars
-        out = [RatFunc.one(nv)]
+        out = [RatFunc.one()]
         for idx in blocks:
             out = _poly_mul_coeffs(out, _block_charpoly(self.submatrix(idx)))
         return out
@@ -253,15 +237,9 @@ class Matrix:
             comps.append(sorted(comp))
         return comps
 
-    def det(self) -> RatFunc:
-        cp = self.charpoly()
-        d = cp[0]
-        return -d if self.rows % 2 else d
-
 
 def _poly_mul_coeffs(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
-    nv = a[0].num.nvars
-    out = [RatFunc.zero(nv) for _ in range(len(a) + len(b) - 1)]
+    out = [RatFunc.zero() for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
         if x.is_zero():
             continue
@@ -274,18 +252,17 @@ def _poly_mul_coeffs(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
 
 def _block_charpoly(m: Matrix) -> list[RatFunc]:
     n = m.rows
-    nv = m.nvars
     if n == 1:
-        return [-m.entries[0][0], RatFunc.one(nv)]
+        return [-m.entries[0][0], RatFunc.one()]
     if n <= 4:
         # direct expansion of det(xI - M): elementary symmetric sums of
         # principal minors, each minor a signed permutation expansion
-        coeffs = [RatFunc.zero(nv) for _ in range(n + 1)]
-        coeffs[n] = RatFunc.one(nv)
+        coeffs = [RatFunc.zero() for _ in range(n + 1)]
+        coeffs[n] = RatFunc.one()
         from itertools import combinations
 
         for k in range(1, n + 1):
-            acc = RatFunc.zero(nv)
+            acc = RatFunc.zero()
             for idx in combinations(range(n), k):
                 acc = acc + _det_leibniz(m, idx)
             sign = -1 if k % 2 else 1
@@ -295,8 +272,7 @@ def _block_charpoly(m: Matrix) -> list[RatFunc]:
 
 
 def _det_leibniz(m: Matrix, idx) -> RatFunc:
-    nv = m.nvars
-    acc = RatFunc.zero(nv)
+    acc = RatFunc.zero()
     for perm in _perms(range(len(idx))):
         term = None
         for r, c in enumerate(perm):
@@ -332,9 +308,8 @@ def _perm_sign(perm) -> int:
 
 def _faddeev_leverrier(m: Matrix) -> list[RatFunc]:
     n = m.rows
-    nv = m.nvars
-    coeffs = [RatFunc.zero(nv) for _ in range(n + 1)]
-    coeffs[n] = RatFunc.one(nv)
+    coeffs = [RatFunc.zero() for _ in range(n + 1)]
+    coeffs[n] = RatFunc.one()
     work = m.copy()
     for k in range(1, n + 1):
         t = work.trace().reduce()
@@ -345,10 +320,6 @@ def _faddeev_leverrier(m: Matrix) -> list[RatFunc]:
                 lambda a: a.reduce() if len(a.num.terms) + len(a.den.terms) > 120 else a
             )
     return coeffs
-
-
-def matrices_equal(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def eval_matrix(m: Matrix, values) -> list[list[Cyclotomic]]:

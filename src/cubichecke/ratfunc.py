@@ -61,34 +61,34 @@ class RatFunc:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int = 3) -> "RatFunc":
-        return cls(LaurentPoly.zero(nvars))
+    def zero(cls) -> "RatFunc":
+        return cls(LaurentPoly.zero())
 
     @classmethod
-    def one(cls, nvars: int = 3) -> "RatFunc":
-        return cls(LaurentPoly.one(nvars))
+    def one(cls) -> "RatFunc":
+        return cls(LaurentPoly.one())
 
     @classmethod
-    def const(cls, c: Cyclotomic, nvars: int = 3) -> "RatFunc":
-        return cls(LaurentPoly.const(c, nvars))
+    def const(cls, c: Cyclotomic) -> "RatFunc":
+        return cls(LaurentPoly.const(c))
 
     @classmethod
-    def var(cls, index: int, nvars: int = 3) -> "RatFunc":
-        return cls(LaurentPoly.var(index, nvars))
+    def var(cls, index: int) -> "RatFunc":
+        return cls(LaurentPoly.var(index))
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RatFunc":
         return cls(p)
 
     @classmethod
-    def monomial(cls, exps, coeff: Cyclotomic = ONE, nvars: int = 3) -> "RatFunc":
-        return cls(LaurentPoly.monomial(exps, coeff, nvars))
+    def monomial(cls, exps, coeff: Cyclotomic = ONE) -> "RatFunc":
+        return cls(LaurentPoly.monomial(exps, coeff))
 
     @property
     def den(self) -> LaurentPoly:
         """The denominator as one polynomial (product of the stored factors)."""
         if self._den is None:
-            out = LaurentPoly.one(self.num.nvars)
+            out = LaurentPoly.one()
             for f, e in self.fac.items():
                 for _ in range(e):
                     out = out * f
@@ -101,7 +101,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return not self.fac and self.num.is_one() or (self - RatFunc.one(self.num.nvars)).is_zero()
+        return not self.fac and self.num.is_one() or (self - RatFunc.one()).is_zero()
 
     def is_poly(self) -> bool:
         return not self.fac
@@ -143,7 +143,7 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.num.is_zero() or other.num.is_zero():
-            return RatFunc.zero(self.num.nvars)
+            return RatFunc.zero()
         fac = dict(self.fac)
         for f, e in other.fac.items():
             fac[f] = fac.get(f, 0) + e
@@ -152,7 +152,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        num = LaurentPoly.one(self.num.nvars)
+        num = LaurentPoly.one()
         for f, e in self.fac.items():
             for _ in range(e):
                 num = num * f
@@ -166,7 +166,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        out = RatFunc.one(self.num.nvars)
+        out = RatFunc.one()
         base = self
         while n:
             if n & 1:
@@ -177,7 +177,7 @@ class RatFunc:
 
     def scale(self, c: Cyclotomic) -> "RatFunc":
         if c.is_zero():
-            return RatFunc.zero(self.num.nvars)
+            return RatFunc.zero()
         return RatFunc(self.num.scale(c), fac=dict(self.fac))
 
     # -- cancellation and normalization ----------------------------------------------
@@ -283,11 +283,6 @@ class RatFunc:
     __repr__ = __str__
 
 
-def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
-    """Semantic equality by cross multiplication."""
-    return a == b
-
-
 def rat_sum(items) -> RatFunc:
     """Sum of rational functions over one common denominator.
 
@@ -296,7 +291,7 @@ def rat_sum(items) -> RatFunc:
     """
     items = [r for r in items if not r.num.is_zero()]
     if not items:
-        return RatFunc.zero(3)
+        return RatFunc.zero()
     if len(items) == 1:
         return items[0]
     lcd: dict = {}
@@ -313,3 +308,28 @@ def rat_sum(items) -> RatFunc:
                 num = num * f
         total = num if total is None else total + num
     return RatFunc(total, fac=lcd)._auto()
+
+
+def _multiplicity(gen: LaurentPoly, p: LaurentPoly) -> int:
+    """Largest k with gen^k dividing the nonzero ordinary polynomial p."""
+    k = 0
+    while True:
+        try:
+            p = exact_div(p, gen)
+        except ValueError:
+            return k
+        k += 1
+
+
+def valuation(f: RatFunc, gen: LaurentPoly) -> int:
+    """Order of f along the prime polynomial ``gen``; negative at a pole.
+
+    Computed factor by factor on the stored representative, with no GCD pass;
+    that is valid because ``gen`` is prime.  Raises ValueError when f is 0.
+    """
+    if f.is_zero():
+        raise ValueError("the valuation of 0 is infinite")
+    order = _multiplicity(gen, f.num.shift_nonnegative()[0])
+    for p, e in f.fac.items():
+        order -= e * _multiplicity(gen, p)
+    return order

@@ -27,10 +27,6 @@ def frac_to_json(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def frac_from_json(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def cyc_to_json(c: Cyclotomic) -> list:
     return [frac_to_json(x) for x in c.c]
 
@@ -43,11 +39,11 @@ def poly_to_json(p: LaurentPoly) -> list:
     return [[list(e), cyc_to_json(c)] for e, c in p.sorted_terms()]
 
 
-def poly_from_json(data, nvars: int = 3) -> LaurentPoly:
+def poly_from_json(data) -> LaurentPoly:
     terms = {}
     for e, c in data:
         terms[tuple(e)] = cyc_from_json(c)
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly(terms)
 
 
 def ratfunc_to_json(f: RatFunc) -> dict:

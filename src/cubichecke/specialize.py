@@ -87,7 +87,7 @@ class Specialization:
         if not dead:
             out = RatFunc(self.apply_poly(f.num))
             for img, e in fac.items():
-                out = out * RatFunc(LaurentPoly.one(3), img) ** e
+                out = out * RatFunc(LaurentPoly.one(), img) ** e
             return out
         # a denominator factor contains the locus: cancel via full reduction
         r = f.reduce()
@@ -109,17 +109,6 @@ class Specialization:
                     raise PoleOnLocus(a)
             out.append(new_row)
         return Matrix(out)
-
-    def apply(self, x):
-        from .matrix import Matrix
-
-        if isinstance(x, LaurentPoly):
-            return self.apply_poly(x)
-        if isinstance(x, RatFunc):
-            return self.apply_ratfunc(x)
-        if isinstance(x, Matrix):
-            return self.apply_matrix(x)
-        raise TypeError("cannot specialize %r" % type(x))
 
     def vanishes(self, p: LaurentPoly) -> bool:
         return self.apply_poly(p).is_zero()
@@ -168,9 +157,6 @@ class Specialization:
 
     def __hash__(self):
         return hash(self.subs)
-
-
-GENERIC = None  # generic context marker used throughout
 
 
 class QuadExt:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .builder import assemble, assemble_k3
+from .builder import assemble, assemble_k3, scaled_projection
 from .catalog import (
     ModuleLabel,
     PrimeIdealSpec,
@@ -44,10 +44,10 @@ from .errors import (
     PoleOnLocus,
     UnidentifiedFactor,
 )
-from .jm import ab2_diag, block_spec, vanishing_order
-from .laurent import LaurentPoly, divides, exact_div
+from .jm import ab2_diag, block_spec
+from .laurent import LaurentPoly, exact_div
 from .matrix import Matrix
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, valuation
 from .specialize import QuadExt, QuadLocus, Specialization, Substitution
 
 
@@ -87,7 +87,7 @@ def classify_ideals(ideals) -> SemisimplicityReport:
     vanishing = tuple(
         spec
         for spec in ideal_catalog()
-        if spec.family != "diff" and locus_vanishes(locus, spec.generator)
+        if spec.family != "diff" and locus.vanishes(spec.generator)
     )
     desc = "ideal(%s)" % ", ".join(p.name for p in ideals)
     return SemisimplicityReport(desc, vanishing, not vanishing)
@@ -269,20 +269,14 @@ def _digraph_sccs(mats: list[Matrix]) -> list[list[int]]:
 
 def _factor_weights(mats: dict, idx: list[int], lams) -> dict:
     s1 = mats[1].submatrix(idx)
-    s3 = mats[3].submatrix(idx) if 3 in mats else mats[1].submatrix(idx)
+    s3 = mats[3].submatrix(idx) if 3 in mats else s1
+    p3s = {j: scaled_projection(s3, j, lams) for j in (1, 2, 3)}
     out = {}
     for i in (1, 2, 3):
-        p1 = Matrix.identity(len(idx))
-        for s in (1, 2, 3):
-            if s != i:
-                p1 = p1 * s1.add_scalar(-lams[s - 1])
+        p1 = scaled_projection(s1, i, lams)
         if p1.is_zero():
             continue
-        for j in (1, 2, 3):
-            p3 = Matrix.identity(len(idx))
-            for s in (1, 2, 3):
-                if s != j:
-                    p3 = p3 * s3.add_scalar(-lams[s - 1])
+        for j, p3 in p3s.items():
             if p3.is_zero():
                 continue
             r = (p1 * p3).rank()
@@ -391,11 +385,6 @@ def _series_by_dproducts(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str, r
     paths = enumerate_paths(g4)
     n = len(paths)
     gen = p.generator
-
-    def in_ideal(f: RatFunc) -> bool:
-        num, _ = f.reduce().num.shift_nonnegative()
-        return divides(gen, num)
-
     parent = list(range(n))
 
     def find(a):
@@ -430,7 +419,7 @@ def _series_by_dproducts(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str, r
                 continue
             if not _block_hypotheses_hold_mod(spec, mu, p):
                 continue
-            vanish = [k for k, dv in enumerate(diag.d) if in_ideal(dv)]
+            vanish = [k for k, dv in enumerate(diag.d) if valuation(dv, gen) > 0]
             for a in range(len(idx)):
                 if a in vanish:
                     continue
@@ -438,7 +427,7 @@ def _series_by_dproducts(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str, r
                     if b not in vanish:
                         union(idx[a], idx[b])
             for k in vanish:
-                order = vanishing_order(diag.d[k], p)
+                order = valuation(diag.d[k], gen)
                 if order >= 2:
                     raise AmbiguousOrientation(
                         "d-vanishing of order %d in block of %s" % (order, g4)
@@ -473,7 +462,7 @@ def _block_hypotheses_hold_mod(spec, mu: RatFunc, p: PrimeIdealSpec) -> bool:
     """Theorem hypotheses of the block formula checked modulo the ideal."""
     from .jm import _pair_for
 
-    l1, l2 = _pair_for(spec, mu)
+    l1, l2 = _pair_for(spec.a_spectrum, mu)
     param = p.param
 
     def dies(f: RatFunc) -> bool:
@@ -555,7 +544,7 @@ def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
     if n == 2:
         i, j = [k + 1 for k, e in enumerate(g3.exps) if e]
         for spec in vanishing_for_k3(g3):
-            if locus_vanishes(locus, spec.generator):
+            if locus.vanishes(spec.generator):
                 ei = [0, 0, 0]
                 ei[i - 1] = 1
                 ej = [0, 0, 0]
@@ -565,7 +554,7 @@ def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
     for i in (1, 2, 3):
         j, k = [x for x in (1, 2, 3) if x != i]
         gen = _sq_plus_poly(i, j, k)
-        if locus_vanishes(locus, gen):
+        if locus.vanishes(gen):
             sub = [0, 0, 0]
             sub[j - 1] = sub[k - 1] = 1
             one = [0, 0, 0]
@@ -586,12 +575,6 @@ def _sq_plus_poly(i, j, k) -> LaurentPoly:
     e2[j - 1] = 1
     e2[k - 1] = 1
     return LaurentPoly.monomial(tuple(e1)) + LaurentPoly.monomial(tuple(e2))
-
-
-def locus_vanishes(locus, poly: LaurentPoly) -> bool:
-    if isinstance(locus, Specialization):
-        return locus.vanishes(poly)
-    return locus.vanishes(poly)
 
 
 # -- exact sequences ---------------------------------------------------------------------
@@ -888,18 +871,18 @@ def _distinct_witness_quad(locus: QuadLocus):
 
 def _delta_congruent(locus, r1: RatFunc, r2: RatFunc) -> bool:
     diff = r1.num * r2.den - r2.num * r1.den
-    return locus_vanishes(locus, diff)
+    return locus.vanishes(diff)
 
 
 def _valid_on(locus, label: ModuleLabel) -> bool:
     if not is_exceptional(label):
         return True
-    return locus_vanishes(locus, exceptional_spec(label).defining)
+    return locus.vanishes(exceptional_spec(label).defining)
 
 
 def _regular_dead(locus, label: ModuleLabel):
     return [
-        q for q in vanishing_for_module(label) if locus_vanishes(locus, q.generator)
+        q for q in vanishing_for_module(label) if locus.vanishes(q.generator)
     ]
 
 
@@ -995,23 +978,14 @@ def split_on_locus(locus, label: ModuleLabel) -> tuple:
         dead = _regular_dead(locus, label)
         if not dead:
             return (label,)
-        if isinstance(locus, Specialization) and len(locus.subs) == 1:
-            first = dead[0]
-        else:
-            first = dead[0]
         out: list = []
-        for f in single_ideal_factors(label, first):
+        for f in single_ideal_factors(label, dead[0]):
             out.extend(split_on_locus(locus, f))
         return tuple(sorted(out, key=lambda l: l.name))
     if not _valid_on(locus, label):
         raise UnidentifiedFactor("label %s is not defined on the locus" % label)
-    cover = _finest_cover(locus, label)
-    if cover is None:
-        return (label,)
-    out = []
-    for c in cover:
-        out.append(c)
-    return tuple(sorted(out, key=lambda l: l.name))
+    # the cover is already sorted by name
+    return _finest_cover(locus, label) or (label,)
 
 
 def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:

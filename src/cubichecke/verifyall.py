@@ -13,6 +13,7 @@ points only.
 from __future__ import annotations
 
 import random
+import zlib
 from fractions import Fraction
 
 from . import golden
@@ -374,12 +375,7 @@ def check_table3():
                     found = f
         if found is None:
             return _ok(False, "factor %s never appears mod %s" % (factor_name, ideal_name))
-        full = dict(module_weights(found))
-        mirror = {(j, i): m for (i, j), m in weights.items()}
-        merged = dict(weights)
-        for k, v in mirror.items():
-            merged.setdefault(k, v)
-        if module_dim(found) != dim or full != merged:
+        if module_dim(found) != dim or module_weights(found) != _mirrored(weights):
             return _ok(False, "wrong data for %s" % factor_name)
         if not delta_scalar(found) == delta:
             return _ok(False, "central scalar of %s differs from the table" % factor_name)
@@ -395,29 +391,27 @@ def check_corollary_6dimquot():
         if names != sorted([factor_name, other_name]):
             return _ok(False, "factors %s mod %s" % (names, ideal_name))
         for f in series.factors:
-            if f.label.name == factor_name:
-                mirror = {(j, i): m for (i, j), m in weights.items()}
-                merged = dict(weights)
-                for k, v in mirror.items():
-                    merged.setdefault(k, v)
-                if f.weights != merged:
-                    return _ok(False, "weights of %s mod %s" % (factor_name, ideal_name))
+            if f.label.name == factor_name and f.weights != _mirrored(weights):
+                return _ok(False, "weights of %s mod %s" % (factor_name, ideal_name))
     return _ok(True, "all four loci")
 
 
+def _mirrored(weights: dict) -> dict:
+    """The table's weights completed by their transposes (i, j) -> (j, i)."""
+    merged = dict(weights)
+    for (i, j), m in weights.items():
+        merged.setdefault((j, i), m)
+    return merged
+
+
 def check_k3():
-    rep = k3_structure(ideal_by_name("l1+theta*l2"))
-    if not any(
-        g3.name == "l1*l2" and sorted(l.name for l in seq) == ["l1", "l2"]
-        for g3, seq in rep.sequences
-    ):
-        return _ok(False, "K3 sequence at l1+theta*l2")
-    rep = k3_structure(ideal_by_name("l1^2+l2*l3"))
-    if not any(
-        g3.name == "l1*l2*l3" and sorted(l.name for l in seq) == ["l1", "l2*l3"]
-        for g3, seq in rep.sequences
-    ):
-        return _ok(False, "K3 sequence at l1^2+l2*l3")
+    for ideal_name, module_name, factors in golden.K3_SEQUENCES:
+        rep = k3_structure(ideal_by_name(ideal_name))
+        if not any(
+            g3.name == module_name and sorted(l.name for l in seq) == factors
+            for g3, seq in rep.sequences
+        ):
+            return _ok(False, "K3 sequence at %s" % ideal_name)
     # double locus: l1 = -theta l2 and l2 = -theta l3 leaves one 2-dim simple
     pair = compose_pair(ideal_by_name("l1+theta*l2"), ideal_by_name("l2+theta*l3"))
     locus = pair[0].locus
@@ -611,7 +605,7 @@ def check_numeric_oracle(points: int = 100):
 
 
 def _check_fast_assembly(label):
-    rng = random.Random(hash(label.name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(label.name.encode()) & 0xFFFF)
     g = assemble_generic(label)
     mats = [g.matrices[i].map(lambda a: a.reduce()) for i in (1, 2, 3)]
     scalar = delta_scalar(label)

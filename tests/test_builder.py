@@ -140,8 +140,8 @@ def test_rank1_weight_charpoly_shape():
     denom = RatFunc.one()
     for s in (2, 3):
         denom = denom * (lam[r - 1] - lam[s - 1])
-    p1 = scaled_projection(g.S1, r).scale(denom.inv())
-    p3 = scaled_projection(g.S3, r).scale(denom.inv())
+    p1 = scaled_projection(g.S1, r, g.eigenvalues()).scale(denom.inv())
+    p3 = scaled_projection(g.S3, r, g.eigenvalues()).scale(denom.inv())
     b = g.delta_matrix() * p1 * p3
     cp = b.charpoly()
     assert cp[0].is_zero() and cp[1].is_zero()

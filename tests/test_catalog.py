@@ -1,5 +1,6 @@
 import pytest
 
+from cubichecke import golden
 from cubichecke.catalog import (
     PERMS,
     catalog_regular,
@@ -21,6 +22,7 @@ from cubichecke.catalog import (
     vanishing_for_module,
 )
 from cubichecke.cyclotomic import theta_power
+from cubichecke.expr import parse_label
 from cubichecke.ratfunc import RatFunc
 
 
@@ -105,6 +107,12 @@ def test_vanishing_rows():
     assert eight == ["l2^3-l1^2*l3", "l3^3-l1^2*l2", "l1^2-theta*l2*l3", "l1^2-theta^2*l2*l3"]
     nine2 = [p.name for p in vanishing_for_module(label4((3, 3, 3), 2))]
     assert "l1^2-theta^2*l2*l3" in nine2 and "l1^2-theta*l2*l3" not in nine2
+
+
+def test_table2_rows():
+    assert len(golden.TABLE2_ROWS) == 8
+    for name, row in golden.TABLE2_ROWS.items():
+        assert [p.name for p in vanishing_for_module(parse_label(name))] == row
 
 
 def test_apply_perm_on_labels():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -115,3 +116,34 @@ def test_markdown_format(capsys):
     code, out = run(capsys, "classify", "--lambda", "2,3,5", "--format", "markdown")
     assert code == 0
     assert out.startswith("| input |")
+
+
+# sha256 of stdout for commands whose reports must stay byte-identical
+# across refactors of the scalar and structure layers
+REPORT_DIGESTS = [
+    (("catalog",), 0,
+     "1d7ecbe4566a82683d4c8ec01d1297918efe6f164fab931431445ab894cff006"),
+    (("structure", "census"), 0,
+     "b8e5caaa5bdd9efeecd0bf535cf4e17a8c2c4d295663cbb8ea734878dde1edf0"),
+    (("rep", "build", "--module", "l1^2*l2"), 0,
+     "2b260539e5c5e6145f86862f000a81a1bd6d71f0c45508141f4d4a19b3e8a88b"),
+    (("rep", "build", "--module", "l1^2*l2", "--ideal", "l1+i*l2"), 0,
+     "fe08fe30e5089b4a5cb276f159d0906982304e74dfbf2c50c6803ad521407ea2"),
+    (("classify", "--ideal", "l1+theta*l2"), 10,
+     "6b8974fa763c1a158a27f3b001ed5ec55ecd4f5a1a8015435ae5f7d72680361b"),
+    (("structure", "series", "--module", "l1^3*l2^2*l3", "--ideal", "l2+l3"), 0,
+     "78843f8caca5e143f4b5ee971ca1182b50b4c0a6bfe4a5f6f8b40b62253986de"),
+    (("structure", "blocks", "--ideal", "l1+i*l2"), 0,
+     "fbf8e247bbae20a9828984efbd63f045da913acf63f43731be72793a5315d56a"),
+    (("structure", "census", "--ideal", "l1+l3"), 0,
+     "4d4665fcbccd53d8ffd20876b26c7771cb2a66040f6d1097849b57138ba81c99"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", REPORT_DIGESTS, ids=[" ".join(argv) for argv, _c, _d in REPORT_DIGESTS]
+)
+def test_report_bytes_pinned(capsys, argv, code, digest):
+    got_code, out = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -19,7 +19,7 @@ def _small_polys(max_terms=4, max_exp=3):
         coeff,
     )
     def build(terms):
-        out = LaurentPoly.zero(3)
+        out = LaurentPoly.zero()
         for exps, c in terms:
             out = out + LaurentPoly.monomial(exps, Cyclotomic.from_rational(c))
         return out

@@ -135,12 +135,12 @@ def test_evaluation_commutes_with_product():
     def LaurentPoly_rand(rng, nonzero=False):
         from cubichecke.laurent import LaurentPoly
 
-        out = LaurentPoly.zero(3)
+        out = LaurentPoly.zero()
         for _ in range(rng.randint(0 if not nonzero else 1, 3)):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             out = out + LaurentPoly.monomial(exps, Cyclotomic(rng.randint(-3, 3)))
         if nonzero and out.is_zero():
-            out = LaurentPoly.one(3)
+            out = LaurentPoly.one()
         return out
 
     a = Matrix([[rand_entry() for _ in range(2)] for _ in range(2)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cubichecke.cyclotomic import Cyclotomic
 from cubichecke.laurent import LaurentPoly
-from cubichecke.ratfunc import RatFunc, rat_sum, ratfunc_eq
+from cubichecke.ratfunc import RatFunc, rat_sum
 
 L1 = RatFunc.var(0)
 L2 = RatFunc.var(1)
@@ -20,7 +20,7 @@ def _polys(max_terms=3, max_exp=2):
         coeff,
     )
     def build(terms):
-        out = LaurentPoly.zero(3)
+        out = LaurentPoly.zero()
         for exps, c in terms:
             out = out + LaurentPoly.monomial(exps, Cyclotomic.from_rational(c))
         return out
@@ -36,9 +36,9 @@ def _ratfuncs():
 
 
 def test_eq_examples():
-    assert ratfunc_eq(L1 / L2, (L1 * L3) / (L2 * L3))
-    assert ratfunc_eq((L1 * L1 - L2 * L2) / (L1 - L2), L1 + L2)
-    assert not ratfunc_eq(L1 / L2, L2 / L1)
+    assert L1 / L2 == (L1 * L3) / (L2 * L3)
+    assert (L1 * L1 - L2 * L2) / (L1 - L2) == L1 + L2
+    assert not L1 / L2 == L2 / L1
 
 
 def test_reduce_examples():
@@ -65,7 +65,7 @@ def test_reduce_unit_normalization():
 
 def test_pole_is_rejected():
     with pytest.raises(ZeroDivisionError):
-        RatFunc(LaurentPoly.one(3), LaurentPoly.zero(3))
+        RatFunc(LaurentPoly.one(), LaurentPoly.zero())
 
 
 def test_division():
@@ -113,3 +113,11 @@ def test_field_ops(a, b):
     assert (a + b) - b == a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+@given(_ratfuncs(), _ratfuncs().filter(lambda r: not r.is_zero()), _ratfuncs())
+@settings(max_examples=100)
+def test_hash_agrees_with_eq(a, b, c):
+    for other in ((a * b) / b, (a + c) - c, a.reduce()):
+        assert other == a
+        assert hash(other) == hash(a)

@@ -57,7 +57,7 @@ def test_specialize_is_a_homomorphism():
     s = ideal_by_name("l1^3-l2^2*l3").param
     for _ in range(20):
         def rand_poly():
-            out = LaurentPoly.zero(3)
+            out = LaurentPoly.zero()
             for _ in range(3):
                 exps = tuple(rng.randint(-2, 2) for _ in range(3))
                 out = out + LaurentPoly.monomial(exps, Cyclotomic(rng.randint(-3, 3)))
@@ -69,7 +69,7 @@ def test_specialize_is_a_homomorphism():
 
 def test_ratfunc_pole_detection():
     s = ideal_by_name("l1+l2").param
-    f = RatFunc(LaurentPoly.one(3), L1 + L2)
+    f = RatFunc(LaurentPoly.one(), L1 + L2)
     with pytest.raises(PoleOnLocus):
         s.apply_ratfunc(f)
     # a removable pole specializes fine
