@@ -193,7 +193,7 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
     generators clearing every entry pole) and maps the entries.  The locus may
     only fail through PathBasisUnavailable (length-3 center eigenvalues
     collide inside a block, breaking the path basis) or PoleOnLocus (no
-    adapted gauge exists there; callers retry with the other gauge).
+    adapted gauge exists there).
 
     The returned set belongs to the caller and may be mutated: its matrices
     dict, matrix rows and certificate are never shared with the cache.

@@ -46,7 +46,8 @@ from .structure import (
     classify_point,
     composition_series,
     exact_sequence,
-    )
+    invariant_chain,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -109,10 +110,7 @@ def cmd_rep(args) -> int:
             "checks": [[c.name, c.passed] for c in report.checks],
         }
         if ctx is not None:
-            from .structure import _digraph_sccs
-
-            sccs = _digraph_sccs([g.matrices[i] for i in sorted(g.matrices)])
-            result["invariant_chain"] = sccs
+            result["invariant_chain"] = invariant_chain([g.matrices[i] for i in sorted(g.matrices)])
         _emit(args, envelope(["rep", "build", args.module, args.ideal or "", args.gauge], result))
         return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
     # verify: re-read a build file and re-check all relations
@@ -199,8 +197,8 @@ def cmd_structure(args) -> int:
                 {
                     "label": f.label.name,
                     "dim": f.dim,
-                    "paths": list(f.indices) if f.indices else None,
-                    "weights": _weights_json(f.weights) if f.weights else None,
+                    "paths": list(f.indices),
+                    "weights": _weights_json(f.weights),
                 }
                 for f in cs.factors
             ],

@@ -6,11 +6,7 @@ class CubicHeckeError(Exception):
 
 
 class PoleOnLocus(CubicHeckeError):
-    """A denominator vanishes on the specialization locus.
-
-    Callers building representations should retry with the other gauge
-    orientation before giving up.
-    """
+    """A denominator vanishes on the specialization locus."""
 
     def __init__(self, what):
         super().__init__("denominator vanishes on the locus: %s" % (what,))
@@ -35,10 +31,6 @@ class GaugeInconsistent(CubicHeckeError):
 
 class UnidentifiedFactor(CubicHeckeError):
     """A composition factor matches no catalogued simple module (hard failure)."""
-
-
-class AmbiguousOrientation(CubicHeckeError):
-    """Vanishing order >= 2 observed; sub/quotient orientation is undecidable."""
 
 
 class IncompatibleIdeals(CubicHeckeError):

@@ -1,13 +1,17 @@
 """Classification engine: semisimplicity, blocks, composition series, census.
 
 The single-ideal machinery assembles a module over the ideal's parametrized
-locus and reads its composition series off the lattice of invariant coordinate
-subspaces; factors are identified against the catalog by dimension, central
-scalar, and weight data.  The two-ideal census composes parametrizations
-branch by branch and decomposes iteratively, mirroring the uniqueness key of
-the catalogued simple modules; branches whose residue field needs a square
-root outside Q(zeta12) are handled by an exact quadratic-extension evaluator
-(vanishing tests only, never assembly).
+locus and reads its composition series off the invariant chain of the
+generators (``invariant_chain``, shared with the level-3 algebra); factors are
+identified against the catalog by dimension, central scalar, and weight data.
+Assembly is the only route to a nontrivial series: every Table-2 pair
+assembles in the row gauge, and an assembly failure propagates.
+
+The two-ideal census composes parametrizations branch by branch and
+decomposes iteratively, mirroring the uniqueness key of the catalogued simple
+modules; branches whose residue field needs a square root outside Q(zeta12)
+are handled by an exact quadratic-extension evaluator (vanishing tests only,
+never assembly).
 """
 
 from __future__ import annotations
@@ -34,20 +38,10 @@ from .catalog import (
     vanishing_for_module,
 )
 from .cyclotomic import Cyclotomic, ONE
-from .errors import (
-    AmbiguousOrientation,
-    CubicHeckeError,
-    GaugeInconsistent,
-    HypothesisViolated,
-    IncompatibleIdeals,
-    PathBasisUnavailable,
-    PoleOnLocus,
-    UnidentifiedFactor,
-)
-from .jm import ab2_diag, block_spec
+from .errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from .laurent import LaurentPoly, exact_div
 from .matrix import Matrix
-from .ratfunc import RatFunc, valuation
+from .ratfunc import RatFunc
 from .specialize import QuadExt, QuadLocus, Specialization, Substitution
 
 
@@ -61,12 +55,16 @@ class SemisimplicityReport:
     semisimple: bool
 
 
-def classify_point(point) -> SemisimplicityReport:
-    """Exact Theorem-A test at a point with pairwise distinct eigenvalues."""
+def _check_distinct(point):
     for a in range(3):
         for b in range(a + 1, 3):
             if point[a] == point[b]:
                 raise ValueError("repeated eigenvalues l%d = l%d" % (a + 1, b + 1))
+
+
+def classify_point(point) -> SemisimplicityReport:
+    """Exact Theorem-A test at a point with pairwise distinct eigenvalues."""
+    _check_distinct(point)
     vanishing = tuple(
         spec
         for spec in ideal_catalog()
@@ -78,6 +76,8 @@ def classify_point(point) -> SemisimplicityReport:
 
 def classify_ideals(ideals) -> SemisimplicityReport:
     """Theorem-A vanishing list on the (composed) locus of the given ideals."""
+    if not 1 <= len(ideals) <= 2:
+        raise ValueError("classify accepts one or two ideals, got %d" % len(ideals))
     if any(p.family == "diff" for p in ideals):
         raise ValueError("the eigenvalues are assumed pairwise distinct")
     if len(ideals) == 1:
@@ -188,8 +188,8 @@ def _linkage_refinement(labels, p: PrimeIdealSpec):
 class CompositionFactor:
     label: ModuleLabel
     dim: int
-    indices: tuple | None      # path indices spanning the factor (assembly route)
-    weights: dict | None
+    indices: tuple             # path indices spanning the factor
+    weights: dict
 
 
 @dataclass
@@ -198,7 +198,7 @@ class CompositionSeries:
     ideal: PrimeIdealSpec | None
     orientation: str
     factors: tuple             # ordered submodule first
-    route: str                 # "trivial" | "assembly" | "d-product"
+    route: str                 # "trivial" | "assembly"
     certificate: dict = field(default_factory=dict)
 
     @property
@@ -206,70 +206,52 @@ class CompositionSeries:
         return tuple(f.label for f in self.factors)
 
 
-def _digraph_sccs(mats: list[Matrix]) -> list[list[int]]:
-    """Strongly connected components of the nonzero pattern, listed so that
-    every prefix spans an invariant coordinate subspace (sinks first)."""
+def invariant_chain(mats: list[Matrix]) -> list[list[int]]:
+    """The maximal chain of invariant coordinate subspaces of the generators.
+
+    The strongly connected components of the nonzero pattern (v_s -> v_t when
+    entry (t, s) is nonzero), in the order Tarjan's algorithm emits them:
+    successors first, so every prefix spans an invariant subspace.  That
+    invariance is certified before the chain is returned.
+    """
     n = mats[0].rows
-    adj = [set() for _ in range(n)]
-    for m in mats:
-        for s in range(n):
-            for t in range(n):
-                if s != t and not m.entries[t][s].is_zero():
-                    adj[s].add(t)  # v_s maps into v_t
-    # Tarjan
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
+    adj = [
+        sorted({t for m in mats for t in range(n) if t != s and not m.entries[t][s].is_zero()})
+        for s in range(n)
+    ]
+    index: dict = {}
+    low: dict = {}
     stack: list[int] = []
-    out: list[list[int]] = []
-    counter = [0]
+    chain: list[list[int]] = []
 
     def strongconnect(v):
-        work = [(v, iter(sorted(adj[v])))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+        index[v] = low[v] = len(index)
         stack.append(v)
-        onstack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                elif onstack[w]:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(sorted(comp))
+        for w in adj[v]:
+            if w not in index:
+                strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = stack[stack.index(v):]
+            del stack[stack.index(v):]
+            chain.append(sorted(comp))
 
     for v in range(n):
-        if index[v] is None:
+        if v not in index:
             strongconnect(v)
-    # Tarjan emits components in reverse topological order of the condensation
-    # (successors first), which is exactly "sinks first": each prefix is closed.
-    return out
+    closed: set[int] = set()
+    for comp in chain:
+        closed.update(comp)
+        if any(not closed.issuperset(adj[s]) for s in closed):
+            raise CubicHeckeError("invariant-subspace certificate failed")
+    return chain
 
 
 def _factor_weights(mats: dict, idx: list[int], lams) -> dict:
     s1 = mats[1].submatrix(idx)
-    s3 = mats[3].submatrix(idx) if 3 in mats else s1
+    s3 = mats[3].submatrix(idx)
     p3s = {j: scaled_projection(s3, j, lams) for j in (1, 2, 3)}
     out = {}
     for i in (1, 2, 3):
@@ -293,9 +275,8 @@ def _identify_factor(parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: 
             continue
         if module_weights(label) != weights:
             continue
-        if is_exceptional(label):
-            if not p.param.vanishes(exceptional_spec(label).defining):
-                continue
+        if not _valid_on(p.param, label):
+            continue
         if p.param.apply_ratfunc(delta_scalar(label)) == target_delta:
             matches.append(label)
     if len(matches) == 1:
@@ -323,10 +304,11 @@ def composition_series(
 ) -> CompositionSeries:
     """Composition series of a regular module over the quotient field of p.
 
-    Primary route: assemble over the parametrized locus and read the maximal
-    chain of invariant coordinate subspaces.  Fallback (when assembly is
-    refused): equivalence classes of nonvanishing products of projection
-    diagonals, oriented by first-order vanishing.
+    A module that stays simple mod p (p outside its Table-2 row) is its own
+    series.  Otherwise the module is assembled over the parametrized locus in
+    the row gauge and its series is the invariant chain of the generators;
+    each factor is identified against the catalog by dimension, weights and
+    central scalar.  An assembly or identification failure propagates.
     """
     if orientation not in ("as-given", "transpose"):
         raise ValueError("orientation must be 'as-given' or 'transpose'")
@@ -336,40 +318,13 @@ def composition_series(
         spec = spec_for(g4)
         factor = CompositionFactor(g4, spec.dim, tuple(range(spec.dim)), spec.weight_multiset())
         return CompositionSeries(g4, p, orientation, (factor,), "trivial")
-    try:
-        return _series_by_assembly(g4, p, orientation)
-    except (PathBasisUnavailable, HypothesisViolated, GaugeInconsistent, PoleOnLocus) as exc:
-        return _series_by_dproducts(g4, p, orientation, refused=str(exc))
-
-
-def _series_by_assembly(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str) -> CompositionSeries:
-    errors = []
-    g = None
-    for gauge in ("row", "column"):
-        try:
-            g = assemble(g4, p.param, gauge)
-            break
-        except PoleOnLocus as exc:
-            errors.append(exc)
-    if g is None:
-        raise errors[-1]
-    mats = dict(g.matrices)
+    g = assemble(g4, p.param)
+    mats = g.matrices
     if orientation == "transpose":
         mats = {k: m.transpose() for k, m in mats.items()}
-    gens = [mats[i] for i in sorted(mats)]
-    sccs = _digraph_sccs(gens)
     lams = [p.param.apply_ratfunc(RatFunc.var(k)) for k in range(3)]
     factors = []
-    prefix: list[int] = []
-    for comp in sccs:
-        for m in gens:
-            for s in prefix + comp:
-                for t in range(m.rows):
-                    if t in prefix or t in comp:
-                        continue
-                    if not m.entries[t][s].is_zero():
-                        raise CubicHeckeError("invariant-subspace certificate failed")
-        prefix.extend(comp)
+    for comp in invariant_chain([mats[i] for i in sorted(mats)]):
         weights = _factor_weights(mats, comp, lams)
         label = _identify_factor(g4, p, len(comp), weights)
         factors.append(CompositionFactor(label, len(comp), tuple(comp), weights))
@@ -377,162 +332,6 @@ def _series_by_assembly(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str) ->
         g4, p, orientation, tuple(factors), "assembly",
         {"gauge": g.gauge, "chain": [f.indices for f in factors]},
     )
-
-
-def _series_by_dproducts(g4: ModuleLabel, p: PrimeIdealSpec, orientation: str, refused: str) -> CompositionSeries:
-    from .catalog import enumerate_paths
-
-    paths = enumerate_paths(g4)
-    n = len(paths)
-    gen = p.generator
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    quotient_side: set[int] = set()
-    groups = []
-    g3_groups: dict = {}
-    g2_groups: dict = {}
-    for k, t in enumerate(paths):
-        g3_groups.setdefault(t.g3, []).append(k)
-        g2_groups.setdefault(t.g2, []).append(k)
-    for idx in g3_groups.values():
-        groups.append((block_spec(None, paths[idx[0]].g3, 2), idx))
-    for idx in g2_groups.values():
-        groups.append((block_spec(paths[idx[0]].g2, g4, 3), idx))
-    for spec, idx in groups:
-        for mu, mult in spec.a_spectrum:
-            if mult != 1:
-                continue
-            try:
-                diag = ab2_diag(spec, mu)
-            except HypothesisViolated:
-                continue
-            if not _block_hypotheses_hold_mod(spec, mu, p):
-                continue
-            vanish = [k for k, dv in enumerate(diag.d) if valuation(dv, gen) > 0]
-            for a in range(len(idx)):
-                if a in vanish:
-                    continue
-                for b in range(a + 1, len(idx)):
-                    if b not in vanish:
-                        union(idx[a], idx[b])
-            for k in vanish:
-                order = valuation(diag.d[k], gen)
-                if order >= 2:
-                    raise AmbiguousOrientation(
-                        "d-vanishing of order %d in block of %s" % (order, g4)
-                    )
-                # row gauge: the row of the projection through this path dies,
-                # so the path spans a quotient line of its block
-                quotient_side.add(idx[k])
-    comps: dict = {}
-    for k in range(n):
-        comps.setdefault(find(k), []).append(k)
-    classes = sorted(comps.values(), key=min)
-    if len(classes) > 2:
-        raise UnidentifiedFactor("more than two d-product classes in %s mod %s" % (g4, p.name))
-    if len(classes) == 2 and quotient_side:
-        q = classes[1] if quotient_side & set(classes[1]) else classes[0]
-        s = classes[0] if q is classes[1] else classes[1]
-        ordered = [s, q]
-    else:
-        ordered = classes
-    if orientation == "transpose":
-        ordered = list(reversed(ordered))
-    factors = []
-    for comp in ordered:
-        label = _identify_factor_pathdata(g4, p, comp, paths)
-        factors.append(CompositionFactor(label, len(comp), tuple(comp), None))
-    return CompositionSeries(
-        g4, p, orientation, tuple(factors), "d-product", {"assembly_refused": refused}
-    )
-
-
-def _block_hypotheses_hold_mod(spec, mu: RatFunc, p: PrimeIdealSpec) -> bool:
-    """Theorem hypotheses of the block formula checked modulo the ideal."""
-    from .jm import _pair_for
-
-    l1, l2 = _pair_for(spec.a_spectrum, mu)
-    param = p.param
-
-    def dies(f: RatFunc) -> bool:
-        return param.vanishes(f.reduce().num)
-
-    for r, xr in enumerate(spec.x):
-        for s, xs in enumerate(spec.x):
-            if r < s and dies(xr - xs):
-                return False
-            if spec.size > 2 and dies(spec.delta + l1 * l2 * xr * xs):
-                return False
-    if dies((l1 - mu) * (l2 - mu)):
-        return False
-    return True
-
-
-def _identify_factor_pathdata(g4, p, comp, paths) -> ModuleLabel:
-    """Identification by (dim, central scalar, sigma1 spectrum, K3 content mod p)."""
-    dim = len(comp)
-    target_delta = p.param.apply_ratfunc(delta_scalar(g4))
-    sigma1: dict = {}
-    for k in comp:
-        i = paths[k].eigen_index
-        sigma1[i] = sigma1.get(i, 0) + 1
-    k3_multi = sorted(
-        sum((list(k3_factors_mod(p.param, g3)) for g3 in _dedup_g3(comp, paths)), []),
-        key=lambda l: l.name,
-    )
-    matches = []
-    for label in _candidate_pool():
-        if module_dim(label) != dim:
-            continue
-        w = module_weights(label)
-        spect: dict = {}
-        for (i, _j), m in w.items():
-            spect[i] = spect.get(i, 0) + m
-        if spect != sigma1:
-            continue
-        if is_exceptional(label) and not p.param.vanishes(exceptional_spec(label).defining):
-            continue
-        if p.param.apply_ratfunc(delta_scalar(label)) != target_delta:
-            continue
-        cand_k3 = sorted(
-            sum((list(k3_factors_mod(p.param, g3)) for g3 in module_k3_content(label)), []),
-            key=lambda l: l.name,
-        )
-        if cand_k3 != k3_multi:
-            continue
-        matches.append(label)
-    if len(matches) != 1:
-        raise UnidentifiedFactor(
-            "path-data identification found %d matches in %s mod %s"
-            % (len(matches), g4, p.name)
-        )
-    return matches[0]
-
-
-def _dedup_g3(comp, paths):
-    """Level-3 content of a factor from its path multiset: each constituent
-    must be met by a full set of paths (its dimension's worth)."""
-    from collections import Counter
-
-    out = []
-    cnt = Counter(paths[k].g3 for k in comp)
-    for g3, c in sorted(cnt.items(), key=lambda kv: kv[0].name):
-        d = sum(g3.exps)
-        if c % d:
-            raise UnidentifiedFactor("factor cuts through a level-3 constituent")
-        out.extend([g3] * (c // d))
-    return out
 
 
 def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
@@ -1022,24 +821,13 @@ class K3Report:
         return sum(sum(l.exps) ** 2 for l in self.entries)
 
 
-class PointLocus:
-    """Adapter exposing a point as a vanishing-test locus."""
-
-    def __init__(self, point):
-        self.point = point
-
-    def vanishes(self, poly: LaurentPoly) -> bool:
-        return poly.eval_point(self.point).is_zero()
-
-
 def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
     """Blocks, sequences and census of the three-strand algebra."""
     if point is not None:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if point[a] == point[b]:
-                    raise ValueError("repeated eigenvalues")
-        locus = PointLocus(point)
+        _check_distinct(point)
+        locus = Specialization(
+            tuple(Substitution(k, c, (0, 0, 0)) for k, c in enumerate(point)), ()
+        )
         found: dict = {}
         for s in catalog_regular(3):
             for lbl in k3_factors_mod(locus, s.label):
@@ -1068,16 +856,13 @@ def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
 
 def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:
     g = assemble_k3(g3, p.param)
-    gens = [g.matrices[i] for i in sorted(g.matrices)]
-    sccs = _digraph_sccs(gens)
-    lams = [p.param.apply_ratfunc(RatFunc.var(k)) for k in range(3)]
+    target = p.param.apply_ratfunc(delta_scalar(g3))
     labels = []
-    for comp in sccs:
+    for comp in invariant_chain([g.matrices[i] for i in sorted(g.matrices)]):
         spectrum: dict = {}
         for k in comp:
             i = g.basis[k].eigen_index
             spectrum[i] = spectrum.get(i, 0) + 1
-        target = p.param.apply_ratfunc(delta_scalar(g3))
         matches = [
             s.label
             for s in catalog_regular(3)

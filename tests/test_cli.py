@@ -31,6 +31,15 @@ def test_classify_invalid(capsys):
     assert code == 2
 
 
+def test_classify_rejects_three_ideals(capsys):
+    code, out = run(
+        capsys, "classify",
+        "--ideal", "l1+l2", "--ideal", "l1^3-l2^2*l3", "--ideal", "l2^2+l1*l3",
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_rep_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "rep.json"
     code = main(["rep", "build", "--module", "l1^2*l2", "--out", str(out_file)])
@@ -137,6 +146,11 @@ REPORT_DIGESTS = [
      "fbf8e247bbae20a9828984efbd63f045da913acf63f43731be72793a5315d56a"),
     (("structure", "census", "--ideal", "l1+l3"), 0,
      "4d4665fcbccd53d8ffd20876b26c7771cb2a66040f6d1097849b57138ba81c99"),
+    (("structure", "series", "--module", "l1^4*l2^2*l3^2", "--ideal", "l2^3-l1^2*l3",
+      "--orientation", "transpose"), 0,
+     "e6d2191d6b698ffd07ed14d5d3a6c052078e98ee38a0a4fa192f0bd2631c9b2b"),
+    (("structure", "census", "--ideal", "l2^2+l1*l3"), 0,
+     "29a99d06222267cd6c8315afed97aed6dbbc918580029d3592a46b8967649ed0"),
 ]
 
 

@@ -1,10 +1,10 @@
 import pytest
 
-from cubichecke.catalog import ideal_by_name, label2, label4
+from cubichecke.builder import assemble
+from cubichecke.catalog import catalog_regular, ideal_by_name, label2, label4, vanishing_for_module
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
 from cubichecke.errors import IncompatibleIdeals, UnidentifiedFactor
 from cubichecke.structure import (
-    _series_by_dproducts,
     blocks,
     census_generic,
     census_pair,
@@ -14,6 +14,7 @@ from cubichecke.structure import (
     compose_pair,
     composition_series,
     exact_sequence,
+    invariant_chain,
     k3_structure,
     split_on_locus,
 )
@@ -118,15 +119,13 @@ def test_series_orientation_duality():
     assert [f.label for f in fwd.factors] == [f.label for f in reversed(bwd.factors)]
 
 
-def test_dproduct_fallback_agrees_with_assembly():
-    p = ideal_by_name("l1^2-theta*l2*l3")
-    lbl = label4((4, 2, 2))
-    assembly = composition_series(lbl, p)
-    fallback = _series_by_dproducts(lbl, p, "as-given", refused="forced")
-    assert sorted(f.label.name for f in assembly.factors) == sorted(
-        f.label.name for f in fallback.factors
-    )
-    assert fallback.route == "d-product"
+def test_every_table2_pair_assembles_in_row_gauge():
+    # composition_series has no second route: every pair that reaches assembly
+    # (a regular module and an ideal of its Table-2 row) must assemble as is
+    pairs = [(s.label, p) for s in catalog_regular(4) for p in vanishing_for_module(s.label)]
+    assert len(pairs) == 75
+    for label, p in pairs:
+        assert assemble(label, p.param).gauge == "row", (label, p.name)
 
 
 def test_exact_sequence_cubic():
@@ -194,6 +193,21 @@ def test_k3_point_census():
     dims = sorted(sum(l.exps) for l in rep.entries)
     assert dims == [1, 1, 1, 2]
     assert any(l.name == "l1*l3" for l in rep.entries)
+
+
+def test_k3_point_rejects_zero_coordinate():
+    with pytest.raises(ValueError):
+        k3_structure(point=(Cyclotomic(), Cyclotomic(3), Cyclotomic(5)))
+
+
+def test_invariant_chain_sinks_first():
+    from cubichecke.matrix import Matrix
+    from cubichecke.ratfunc import RatFunc
+
+    o, z = RatFunc.one(), RatFunc.zero()
+    # v0 -> v2 and v2 <-> v1: the sink class {1, 2} comes first
+    m = Matrix([[o, z, z], [z, o, o], [o, o, o]])
+    assert invariant_chain([m]) == [[1, 2], [0]]
 
 
 def test_exact_sequence_singleton_is_trivial():

@@ -25,16 +25,40 @@ print(points)
 """
 
 
-def _fast_points(hash_seed: str) -> str:
+# a cheap subset of the fast level: the census and three small assemblies
+FAST_SUBSET = ["census_generic", "fast_assembly_l1", "fast_assembly_l1*l2", "fast_assembly_l1^2*l2"]
+
+_RUN_SUBSET = """
+from cubichecke.verifyall import run_level
+
+print(sorted(run_level("fast", names=%r).items()))
+""" % (FAST_SUBSET,)
+
+
+def _run(code: str, hash_seed: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _RECORD_POINTS], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout
 
 
 def test_fast_assembly_points_ignore_hash_seed():
-    first = _fast_points("1")
+    first = _run(_RECORD_POINTS, "1")
     assert first.startswith("[(")
-    assert _fast_points("2") == first
+    assert _run(_RECORD_POINTS, "2") == first
+
+
+def test_fast_level_ignores_hash_seed():
+    first = _run(_RUN_SUBSET, "1")
+    assert first.startswith("[('census_generic', (True,")
+    assert _run(_RUN_SUBSET, "2") == first
+
+
+def test_fast_level_workers_match_serial():
+    from cubichecke.verifyall import run_level
+
+    serial = run_level("fast", names=FAST_SUBSET)
+    assert sorted(serial) == sorted(FAST_SUBSET)
+    assert run_level("fast", names=FAST_SUBSET, workers=2) == serial
