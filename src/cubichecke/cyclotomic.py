@@ -1,124 +1,155 @@
 """Exact arithmetic in the cyclotomic field Q(z) with z a primitive 12th root of unity.
 
-Elements are stored as c0 + c1*z + c2*z^2 + c3*z^3 with rational ci, reduced
-modulo the minimal polynomial z^4 = z^2 - 1.  The field contains
+An element is (n0 + n1*z + n2*z^2 + n3*z^3) / d with Python ints ni and one
+positive int d, reduced modulo the minimal polynomial z^4 = z^2 - 1.  The
+stored form is canonical: gcd(n0, n1, n2, n3, d) == 1 and zero is 0/1, so
+equal elements store equal integers.  Arithmetic is fraction-free; a result
+whose denominator is 1 (the common case) skips the gcd.  ``Fraction`` appears
+only at the boundary: constructor input and :meth:`Cyclotomic.rational_value`.
+
+The field contains
 
     theta = z^4 = z^2 - 1   (a primitive third root of unity), and
     i     = z^3             (a primitive fourth root of unity),
 
 which is all the root-of-unity content the Hecke-algebra data ever needs.
+
+Inverses use the norm.  With s_k the automorphism z -> z^k (k = 5, 7, 11),
+a^-1 = s5(a)*s7(a)*s11(a) / N(a), where N(a) = a*s5(a)*s7(a)*s11(a) is a
+positive rational.  Since s11 = s5*s7, the numerator is s7(a)*s5(b) with
+b = a*s7(a) in Q(z^2), and N(a) = b*s5(b).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO_N = (0, 0, 0, 0)
 
 
 class Cyclotomic:
-    """An element of Q(z), z^4 = z^2 - 1, as an immutable 4-tuple of rationals."""
+    """An element of Q(z), z^4 = z^2 - 1: four int numerators ``n`` over one int ``d > 0``."""
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    @classmethod
-    def _raw(cls, tup) -> "Cyclotomic":
-        obj = object.__new__(cls)
-        obj.c = tup
-        return obj
+        cs = [Fraction(c) for c in (c0, c1, c2, c3)]
+        d = lcm(*(c.denominator for c in cs))
+        # d is the lcm of reduced denominators, so gcd(n, d) == 1 already
+        self.n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self.d = d
 
     @classmethod
     def from_rational(cls, q) -> "Cyclotomic":
-        return cls._raw((Fraction(q), _ZERO, _ZERO, _ZERO))
+        q = Fraction(q)
+        return _raw((q.numerator, 0, 0, 0), q.denominator)
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self) -> bool:
-        c = self.c
-        return not (c[0] or c[1] or c[2] or c[3])
+        return self.n == _ZERO_N
 
     def is_one(self) -> bool:
-        c = self.c
-        return c[0] == 1 and not (c[1] or c[2] or c[3])
+        return self.d == 1 and self.n == (1, 0, 0, 0)
 
     def is_rational(self) -> bool:
-        c = self.c
-        return not (c[1] or c[2] or c[3])
+        n = self.n
+        return not (n[1] or n[2] or n[3])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element: %r" % (self,))
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
+
+    def coeff_strs(self) -> list:
+        """The four coefficients ni/d in lowest terms, rendered "p" or "p/q"."""
+        d = self.d
+        out = []
+        for x in self.n:
+            g = gcd(x, d)
+            out.append(str(x // g) if g == d else "%d/%d" % (x // g, d // g))
+        return out
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        a, b = self.c, other.c
-        if not (a[1] or a[2] or a[3] or b[1] or b[2] or b[3]):
-            return Cyclotomic._raw((a[0] + b[0], _ZERO, _ZERO, _ZERO))
-        return Cyclotomic._raw((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        ad, bd = self.d, other.d
+        if ad == bd:
+            n = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            return _raw(n, 1) if ad == 1 else _canon(n, ad)
+        return _canon(
+            (a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad),
+            ad * bd,
+        )
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        a, b = self.c, other.c
-        if not (a[1] or a[2] or a[3] or b[1] or b[2] or b[3]):
-            return Cyclotomic._raw((a[0] - b[0], _ZERO, _ZERO, _ZERO))
-        return Cyclotomic._raw((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        ad, bd = self.d, other.d
+        if ad == bd:
+            n = (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+            return _raw(n, 1) if ad == 1 else _canon(n, ad)
+        return _canon(
+            (a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, a3 * bd - b3 * ad),
+            ad * bd,
+        )
 
     def __neg__(self) -> "Cyclotomic":
-        a = self.c
-        return Cyclotomic._raw((-a[0], -a[1], -a[2], -a[3]))
+        a0, a1, a2, a3 = self.n
+        return _raw((-a0, -a1, -a2, -a3), self.d)
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
-        a, b = self.c, other.c
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        d = self.d * other.d
         # rational fast paths dominate in practice
-        if not (b[1] or b[2] or b[3]):
-            q = b[0]
-            if q == 1:
+        if not (b1 or b2 or b3):
+            if b0 == 1 == other.d:
                 return self
-            if not (a[1] or a[2] or a[3]):
-                return Cyclotomic._raw((a[0] * q, _ZERO, _ZERO, _ZERO))
-            return Cyclotomic._raw((a[0] * q, a[1] * q, a[2] * q, a[3] * q))
-        if not (a[1] or a[2] or a[3]):
-            q = a[0]
-            if q == 1:
+            if not (a1 or a2 or a3):
+                n = (a0 * b0, 0, 0, 0)
+            else:
+                n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
+        elif not (a1 or a2 or a3):
+            if a0 == 1 == self.d:
                 return other
-            return Cyclotomic._raw((b[0] * q, b[1] * q, b[2] * q, b[3] * q))
-        t0 = a[0] * b[0]
-        t1 = a[0] * b[1] + a[1] * b[0]
-        t2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
-        t3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0]
-        t4 = a[1] * b[3] + a[2] * b[2] + a[3] * b[1]
-        t5 = a[2] * b[3] + a[3] * b[2]
-        t6 = a[3] * b[3]
-        # z^4 = z^2 - 1,  z^5 = z^3 - z,  z^6 = -1
-        return Cyclotomic._raw((t0 - t4 - t6, t1 - t5, t2 + t4, t3 + t5))
+            n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+        else:
+            t4 = a1 * b3 + a2 * b2 + a3 * b1
+            t5 = a2 * b3 + a3 * b2
+            # z^4 = z^2 - 1,  z^5 = z^3 - z,  z^6 = -1
+            n = (
+                a0 * b0 - t4 - a3 * b3,
+                a0 * b1 + a1 * b0 - t5,
+                a0 * b2 + a1 * b1 + a2 * b0 + t4,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
+            )
+        return _raw(n, 1) if d == 1 else _canon(n, d)
 
     def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta12)")
-        c = self.c
-        if not (c[1] or c[2] or c[3]):
-            return Cyclotomic._raw((1 / c[0], _ZERO, _ZERO, _ZERO))
-        # extended Euclid of self against the minimal polynomial x^4 - x^2 + 1
-        a = [_ONE, _ZERO, -_ONE, _ZERO, _ONE]  # x^4 - x^2 + 1, low to high
-        b = list(c)
-        s_prev, s = [], [_ONE]  # Bezout coefficient of b only
-        while True:
-            while b and not b[-1]:
-                b.pop()
-            if len(b) == 1:
-                inv = 1 / b[0]
-                out = [x * inv for x in s]
-                out += [_ZERO] * (4 - len(out))
-                return Cyclotomic._raw(tuple(out[:4]))
-            q, r = _poly_divmod(a, b)
-            s_new = _poly_sub(s_prev, _poly_mul(q, s))
-            a, b = b, r
-            s_prev, s = s, s_new
+        a0, a1, a2, a3 = self.n
+        if not (a1 or a2 or a3):
+            if not a0:
+                raise ZeroDivisionError("division by zero in Q(zeta12)")
+            return _canon((self.d, 0, 0, 0), a0)
+        # b = a*s7(a) = b0 + b2*z^2 with s7(a) = a0 - a1*z + a2*z^2 - a3*z^3
+        b0 = a0 * a0 - a2 * a2 + 2 * a1 * a3 + a3 * a3
+        b2 = 2 * a0 * a2 - a1 * a1 + a2 * a2 - 2 * a1 * a3
+        # s5(b) = c0 + c2*z^2 and N = b*s5(b) = |b|^2 > 0
+        c0, c2 = b0 + b2, -b2
+        d = self.d
+        return _canon(
+            (
+                d * (a0 * c0 - a2 * c2),
+                d * (-a1 * c0 + a3 * c2),
+                d * (a0 * c2 + a2 * c0 + a2 * c2),
+                d * (-a1 * c2 - a3 * c0 - a3 * c2),
+            ),
+            b0 * b0 + b0 * b2 + b2 * b2,
+        )
 
     def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self * other.inverse()
@@ -138,25 +169,25 @@ class Cyclotomic:
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Cyclotomic) and self.c == other.c
+        return isinstance(other, Cyclotomic) and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __repr__(self):
         return "Cyclotomic(%s)" % (self,)
 
     def __str__(self):
         parts = []
-        for k, coeff in enumerate(self.c):
-            if not coeff:
+        for k, coeff in enumerate(self.coeff_strs()):
+            if coeff == "0":
                 continue
             mono = "" if k == 0 else ("z" if k == 1 else "z^%d" % k)
             if k == 0:
-                parts.append(str(coeff))
-            elif coeff == 1:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(mono)
-            elif coeff == -1:
+            elif coeff == "-1":
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % (coeff, mono))
@@ -168,36 +199,23 @@ class Cyclotomic:
         return out
 
 
-def _poly_divmod(a, b):
-    """Division with remainder for rational coefficient lists (low to high)."""
-    a = list(a)
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        q[k] = coeff
-        if coeff:
-            for j, bj in enumerate(b):
-                a[k + j] -= coeff * bj
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
+def _raw(n: tuple, d: int) -> Cyclotomic:
+    """An element from numerators and a denominator already in canonical form."""
+    obj = object.__new__(Cyclotomic)
+    obj.n = n
+    obj.d = d
+    return obj
 
 
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for j, bj in enumerate(b):
-        out[j] -= bj
-    return out
+def _canon(n: tuple, d: int) -> Cyclotomic:
+    """The canonical form of n/d for any nonzero int d."""
+    g = gcd(*n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+        d //= g
+    return _raw(n, d)
 
 
 ZERO = Cyclotomic()

@@ -125,10 +125,11 @@ class LaurentPoly:
                     if not p.is_zero():
                         out[eb] = p
                 return LaurentPoly(out)
-            for eb, cb in b.items():
+            a0, a1, a2 = ea
+            for (b0, b1, b2), cb in b.items():
                 p = ca * cb
                 if not p.is_zero():
-                    out[tuple(x + y for x, y in zip(ea, eb))] = p
+                    out[(a0 + b0, a1 + b1, a2 + b2)] = p
             return LaurentPoly(out)
         get = out.get
         for (a0, a1, a2), ca in a.items():
@@ -155,14 +156,14 @@ class LaurentPoly:
         return LaurentPoly({e: c * coeff for e, c in self.terms.items()})
 
     def mul_monomial(self, exps, coeff: Cyclotomic = ONE) -> "LaurentPoly":
-        exps = tuple(exps)
-        if not any(exps):
+        x0, x1, x2 = exps
+        if not (x0 or x1 or x2):
             return self.scale(coeff)
         out = {}
-        for e, c in self.terms.items():
+        for (e0, e1, e2), c in self.terms.items():
             p = c * coeff
             if not p.is_zero():
-                out[tuple(x + y for x, y in zip(e, exps))] = p
+                out[(e0 + x0, e1 + x1, e2 + x2)] = p
         return LaurentPoly(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -309,14 +310,14 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
     if f.is_zero():
         return LaurentPoly.zero()
     if g.is_monomial():
-        ((eg, cg),) = g.terms.items()
+        (((g0, g1, g2), cg),) = g.terms.items()
         inv = cg.inverse()
         out = {}
-        for e, c in f.terms.items():
-            ne = tuple(x - y for x, y in zip(e, eg))
-            if any(x < 0 for x in ne):
+        for (e0, e1, e2), c in f.terms.items():
+            q0, q1, q2 = e0 - g0, e1 - g1, e2 - g2
+            if q0 < 0 or q1 < 0 or q2 < 0:
                 raise ValueError("inexact division")
-            out[ne] = c * inv
+            out[(q0, q1, q2)] = c * inv
         return LaurentPoly(out)
     # cheap rejections: the leading and trailing monomials of an exact product
     # are products of the factors' leading and trailing monomials
@@ -324,22 +325,23 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
         raise ValueError("inexact division")
     rem = dict(f.terms)
     eg, cg = g.leading()
+    g0, g1, g2 = eg
     gitems = [(e, c) for e, c in g.terms.items() if e != eg]
     inv = cg.inverse()
     qterms: dict = {}
     steps = 0
     while rem:
         e = max(rem)
-        ne = tuple(x - y for x, y in zip(e, eg))
-        if any(x < 0 for x in ne):
+        q0, q1, q2 = e[0] - g0, e[1] - g1, e[2] - g2
+        if q0 < 0 or q1 < 0 or q2 < 0:
             raise ValueError("inexact division")
         steps += 1
         if budget is not None and steps > budget:
             raise ValueError("division budget exceeded")
         qc = rem.pop(e) * inv
-        qterms[ne] = qc
-        for ge, gc in gitems:
-            key = tuple(x + y for x, y in zip(ne, ge))
+        qterms[(q0, q1, q2)] = qc
+        for (h0, h1, h2), gc in gitems:
+            key = (q0 + h0, q1 + h1, q2 + h2)
             cur = rem.get(key)
             v = qc * gc
             if cur is None:

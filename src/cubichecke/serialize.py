@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
-
 from .catalog import ModuleLabel, Path
 from .cyclotomic import Cyclotomic
 from .laurent import LaurentPoly
@@ -21,18 +19,12 @@ from .ratfunc import RatFunc
 SCHEMA_VERSION = 1
 
 
-def frac_to_json(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def cyc_to_json(c: Cyclotomic) -> list:
-    return [frac_to_json(x) for x in c.c]
+    return c.coeff_strs()
 
 
 def cyc_from_json(data) -> Cyclotomic:
-    return Cyclotomic(*(Fraction(x) for x in data))
+    return Cyclotomic(*data)
 
 
 def poly_to_json(p: LaurentPoly) -> list:
@@ -42,7 +34,10 @@ def poly_to_json(p: LaurentPoly) -> list:
 def poly_from_json(data) -> LaurentPoly:
     terms = {}
     for e, c in data:
-        terms[tuple(e)] = cyc_from_json(c)
+        coeff = cyc_from_json(c)
+        if coeff.is_zero():
+            raise ValueError("zero coefficient in polynomial term %s" % (list(e),))
+        terms[tuple(e)] = coeff
     return LaurentPoly(terms)
 
 

@@ -65,6 +65,21 @@ def test_rep_verify_corrupted(tmp_path, capsys):
     assert failed and failed[0][2] is not None
 
 
+def test_rep_verify_rejects_zero_coefficient(tmp_path, capsys):
+    out_file = tmp_path / "rep.json"
+    main(["rep", "build", "--module", "l1*l2", "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    entry = data["result"]["matrices"]["2"]["entries"][0][0]
+    entry["num"].append([[9, 0, 0], ["0", "0", "0", "0"]])
+    bad = tmp_path / "zero_coefficient.json"
+    bad.write_text(json.dumps(data))
+    code = main(["rep", "verify", "--out", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "zero coefficient" in captured.err
+
+
 def test_structure_census_checksum(capsys):
     code, out = run(capsys, "structure", "census")
     assert code == 0

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from cubichecke.cyclotomic import Cyclotomic, THETA
 from cubichecke.laurent import LaurentPoly
 from cubichecke.matrix import Matrix
@@ -23,6 +25,13 @@ def test_rational_rendering():
     data = cyc_to_json(c)
     assert data == ["3", "-1/2", "0", "7/3"]
     assert cyc_from_json(data) == c
+
+
+def test_zero_coefficient_rejected():
+    with pytest.raises(ValueError, match="zero coefficient"):
+        poly_from_json([[[0, 0, 0], ["0", "0", "0", "0"]]])
+    with pytest.raises(ValueError, match="zero coefficient"):
+        poly_from_json([[[1, 0, 0], ["1/2", "0", "0", "0"]], [[0, 0, 0], ["0", "0/7", "0", "0"]]])
 
 
 def test_poly_roundtrip_and_order():
