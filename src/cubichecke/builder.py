@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .errors import GaugeInconsistent, PoleOnLocus
 from .jm import AB2BlockSpec, ab2_matrix, block_spec
-from .matrix import Matrix
+from .matrix import Matrix, components
 from .ratfunc import RatFunc, valuation
 from .specialize import Specialization
 
@@ -92,17 +92,11 @@ def _block_diag(n: int, placements) -> Matrix:
     return out
 
 
-def _s2_groups(paths) -> list[list[int]]:
+def _groups(paths, attr: str) -> list[list[int]]:
+    """Path indices grouped by the path's ``attr`` label (g3 for S2, g2 for S3)."""
     groups: dict = {}
     for k, t in enumerate(paths):
-        groups.setdefault(t.g3, []).append(k)
-    return list(groups.values())
-
-
-def _s3_groups(paths) -> list[list[int]]:
-    groups: dict = {}
-    for k, t in enumerate(paths):
-        groups.setdefault(t.g2, []).append(k)
+        groups.setdefault(getattr(t, attr), []).append(k)
     return list(groups.values())
 
 
@@ -158,6 +152,21 @@ def _conjugate_by_powers(m: Matrix, gen, k: list[int]) -> Matrix:
     return Matrix(entries)
 
 
+def _on_locus(mats: dict, ctx: Specialization) -> tuple[dict, list]:
+    """Rescale the path basis into the locus-adapted gauge, one ideal
+    generator at a time, then map every entry onto the locus.
+
+    Returns the specialized matrices and the powers used per generator.
+    """
+    adaptation = []
+    for gen in ctx.generators:
+        k = _adapted_scalars(list(mats.values()), gen)
+        if any(k):
+            mats = {i: _conjugate_by_powers(m, gen, k) for i, m in mats.items()}
+        adaptation.append(tuple(k))
+    return {i: ctx.apply_matrix(m) for i, m in mats.items()}, adaptation
+
+
 @lru_cache(maxsize=None)
 def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
     """Generic-field assembly: blocks in canonical gauge plus the solved
@@ -173,11 +182,11 @@ def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
     lam = [RatFunc.var(k) for k in range(3)]
     s1 = Matrix.diagonal([lam[t.eigen_index - 1] for t in paths])
     s2_placements = []
-    for idx in _s2_groups(paths):
+    for idx in _groups(paths, "g3"):
         s2_placements.append((idx, _generic_block("s2", None, paths[idx[0]].g3, "row")))
     s2 = _block_diag(n, s2_placements)
     s3_placements = []
-    for idx in _s3_groups(paths):
+    for idx in _groups(paths, "g2"):
         s3_placements.append((idx, _generic_block("s3", paths[idx[0]].g2, label, gauge)))
     s3 = _block_diag(n, s3_placements)
     s3_final, certificate = _solve_gauge(paths, s2, s3)
@@ -204,17 +213,10 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
         mats = {i: m.copy() for i, m in base.matrices.items()}
         return GeneratorSet(label, 4, base.basis, mats, None, gauge, certificate)
     paths = base.basis
-    for idx in _s3_groups(paths):
+    for idx in _groups(paths, "g2"):
         spec = block_spec(paths[idx[0]].g2, label, 3)
         _ctx_block(spec, ctx).check_x_distinct()
-    mats = dict(base.matrices)
-    adaptation = []
-    for gen in ctx.generators:
-        k = _adapted_scalars([mats[2], mats[3]], gen)
-        if any(k):
-            mats = {i: _conjugate_by_powers(m, gen, k) for i, m in mats.items()}
-        adaptation.append(tuple(k))
-    mats = {i: ctx.apply_matrix(m) for i, m in mats.items()}
+    mats, adaptation = _on_locus(base.matrices, ctx)
     certificate["adapted_powers"] = adaptation
     return GeneratorSet(label, 4, paths, mats, ctx, gauge, certificate)
 
@@ -227,21 +229,12 @@ def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> Genera
     """
     if label.level != 3:
         raise ValueError("assemble_k3 expects a level-3 label")
-    s2 = _generic_block("s2", None, label, "row")
-    if ctx is None:
-        s2 = s2.copy()
-    else:
-        for gen in ctx.generators:
-            k = _adapted_scalars([s2], gen)
-            if any(k):
-                s2 = _conjugate_by_powers(s2, gen, k)
-        s2 = ctx.apply_matrix(s2)
-    lam = [RatFunc.var(k) for k in range(3)]
-    if ctx is not None:
-        lam = [ctx.apply_ratfunc(l) for l in lam]
     paths = block_spec(None, label, 2).paths
-    s1 = Matrix.diagonal([lam[t.eigen_index - 1] for t in paths])
-    return GeneratorSet(label, 3, paths, {1: s1, 2: s2}, ctx, "row", {"pinned": len(paths)})
+    s1 = Matrix.diagonal([RatFunc.var(t.eigen_index - 1) for t in paths])
+    mats = {1: s1, 2: _generic_block("s2", None, label, "row").copy()}
+    if ctx is not None:
+        mats = _on_locus(mats, ctx)[0]
+    return GeneratorSet(label, 3, paths, mats, ctx, "row", {"pinned": len(paths)})
 
 
 # -- gauge solving ------------------------------------------------------------------
@@ -253,26 +246,12 @@ def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> Genera
 
 
 def _gauge_unknowns(paths) -> tuple[dict, int]:
-    nodes = {}
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    edges = [(("g3", t.g3), ("g2", t.g2)) for t in paths]
+    joined = components([v for e in edges for v in e], edges)[1]
     assignment = {}
     n_unknown = 0
-    for k, t in enumerate(paths):
-        a = ("g3", t.g3)
-        b = ("g2", t.g2)
-        for node in (a, b):
-            if node not in parent:
-                parent[node] = node
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for k, forest_edge in enumerate(joined):
+        if forest_edge:
             assignment[k] = None          # forest edge: pinned to 1
         else:
             assignment[k] = n_unknown     # cycle edge: unknown scalar

@@ -65,7 +65,7 @@ class ModuleLabel:
             )
         if self.star:
             return "{%s}*" % _mono_name(self.exps)
-        if self.level == 4 and _shape(self.exps) in ((3, 2, 2), (2, 1, 1)):
+        if is_exceptional(self):
             return "{%s}%s" % (_mono_name(self.exps), _theta_suffix(self.theta))
         return _mono_name(self.exps) + _theta_suffix(self.theta)
 
@@ -89,11 +89,6 @@ def _mono_name(exps) -> str:
 
 def _shape(exps):
     return tuple(sorted(exps, reverse=True))
-
-
-def _is_exceptional_shape(label: ModuleLabel) -> bool:
-    # the 7-dim {li^3 lj^2 lk^2} and 4-dim {li^2 lj lk} are not Table-1 shapes
-    return _shape(label.exps) in ((3, 2, 2), (2, 1, 1))
 
 
 def label4(exps, theta=0) -> ModuleLabel:
@@ -311,9 +306,7 @@ def delta_scalar(label: ModuleLabel) -> RatFunc:
             )
         return RatFunc.monomial((2, 2, 2))
     if label.level == 4:
-        if label.star or label.bar is not None or _is_exceptional_shape(label):
-            return exceptional_spec(label).delta_sq
-        return spec_for(label).delta_sq
+        return _spec(label).delta_sq
     raise ValueError("no delta scalar at level %d" % label.level)
 
 
@@ -539,10 +532,7 @@ def vanishing_for_module(g4: ModuleLabel) -> tuple:
             ),
         )
     if shape == (1, 1, 1):
-        return tuple(
-            ideal_by_name("l%d^2+l%d*l%d" % (i, *[x for x in (1, 2, 3) if x != i]))
-            for i in (1, 2, 3)
-        )
+        return vanishing_for_k3(label3((1, 1, 1)))
     if shape == (2, 1, 0):
         i1 = g4.exps.index(2) + 1
         i2 = g4.exps.index(1) + 1
@@ -695,23 +685,25 @@ def exceptional_spec(label: ModuleLabel) -> ExceptionalSpec:
 
 
 def is_exceptional(label: ModuleLabel) -> bool:
+    # the 7-dim {li^3 lj^2 lk^2} and 4-dim {li^2 lj lk} are not Table-1 shapes
     return label.star or label.bar is not None or (
         label.level == 4 and _shape(label.exps) in ((3, 2, 2), (2, 1, 1))
     )
 
 
+def _spec(label: ModuleLabel):
+    """The catalog entry of a level-3 or level-4 label, exceptional or regular."""
+    return exceptional_spec(label) if is_exceptional(label) else spec_for(label)
+
+
 def module_dim(label: ModuleLabel) -> int:
     if label.level == 2:
         return 1
-    if is_exceptional(label):
-        return exceptional_spec(label).dim
-    return spec_for(label).dim
+    return _spec(label).dim
 
 
 def module_weights(label: ModuleLabel) -> dict:
-    if is_exceptional(label):
-        return exceptional_spec(label).weight_multiset()
-    return spec_for(label).weight_multiset()
+    return _spec(label).weight_multiset()
 
 
 def module_k3_content(label: ModuleLabel) -> tuple:

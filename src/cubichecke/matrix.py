@@ -153,7 +153,7 @@ class Matrix:
             if pivot is None:
                 continue
             work[row], work[pivot] = work[pivot], work[row]
-            inv = RatFunc(work[row][col].den, work[row][col].num)
+            inv = work[row][col].inv()
             for i in range(row + 1, m):
                 a = work[i][col]
                 if a.is_zero():
@@ -189,7 +189,7 @@ class Matrix:
             denom = mu - nu
             if denom.is_zero():
                 raise ValueError("spectrum contains mu twice")
-            proj = (proj * factor).scale(RatFunc(denom.den, denom.num))
+            proj = (proj * factor).scale(denom.inv())
         if mult is None:
             raise ValueError("mu not in spectrum")
         if not ((self.add_scalar(-mu)) * proj).is_zero():
@@ -205,37 +205,42 @@ class Matrix:
         n = self.rows
         if n == 0:
             return [RatFunc.one()]
-        blocks = self._components()
+        # blocks: the connected components of the symmetrized nonzero pattern
+        edges = [
+            (i, j) for i in range(n) for j in range(n)
+            if i != j and not self.entries[i][j].is_zero()
+        ]
         out = [RatFunc.one()]
-        for idx in blocks:
+        for idx in components(range(n), edges)[0]:
             out = _poly_mul_coeffs(out, _block_charpoly(self.submatrix(idx)))
         return out
 
-    def _components(self) -> list[list[int]]:
-        """Connected components of the symmetrized nonzero pattern."""
-        n = self.rows
-        adj = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and not self.entries[i][j].is_zero():
-                    adj[i].add(j)
-                    adj[j].add(i)
-        seen = [False] * n
-        comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+
+def components(nodes, edges) -> tuple[list[list], list[bool]]:
+    """Connected components of an undirected graph, by union-find.
+
+    Returns ``(groups, joined)``: each group lists its nodes in the order of
+    ``nodes``, groups are ordered by their first node, and ``joined[k]`` says
+    whether edge k merged two components (False for an edge closing a cycle).
+    """
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = []
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        joined.append(ra != rb)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values()), joined
 
 
 def _poly_mul_coeffs(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:

@@ -23,16 +23,15 @@ _AUTO_CANCEL_SIZE = 120
 def _norm_factor(p: LaurentPoly):
     """Split p into (laurent monomial with unit, monic ordinary core).
 
-    Returns (mono_exps, unit_coeff, core) with p = unit * l^mono * core and
+    Returns (mono_exps, unit_inverse, core) with p = unit * l^mono * core and
     core monic with zero minimum exponents, or core None when p is a monomial.
     """
     shifted, mins = p.shift_nonnegative()
     _, lc = shifted.leading()
+    inv = lc if lc.is_one() else lc.inverse()
     if shifted.is_monomial():
-        return mins, lc, None
-    if lc.is_one():
-        return mins, lc, shifted
-    return mins, lc, shifted.scale(lc.inverse())
+        return mins, inv, None
+    return mins, inv, shifted.scale(inv)
 
 
 class RatFunc:
@@ -50,11 +49,8 @@ class RatFunc:
             return
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        mins, unit, core = _norm_factor(den)
-        if not unit.is_one():
-            num = num.scale(unit.inverse())
-        if any(mins):
-            num = num.mul_monomial(tuple(-m for m in mins))
+        mins, unit_inv, core = _norm_factor(den)
+        num = num.mul_monomial(tuple(-m for m in mins), unit_inv)
         self.num = num
         self.fac = {core: 1} if (core is not None and not num.is_zero()) else {}
 
@@ -119,24 +115,10 @@ class RatFunc:
             return self
         if self.num.is_zero():
             return -other if negate else other
-        n1, n2 = self.num, other.num
         if self.fac == other.fac:
-            n = n1 - n2 if negate else n1 + n2
+            n = self.num - other.num if negate else self.num + other.num
             return RatFunc(n, fac=dict(self.fac))._auto()
-        merged: dict = dict(self.fac)
-        for f, e in other.fac.items():
-            cur = merged.get(f, 0)
-            if e > cur:
-                merged[f] = e
-        for f, e in merged.items():
-            d1 = e - self.fac.get(f, 0)
-            d2 = e - other.fac.get(f, 0)
-            for _ in range(d1):
-                n1 = n1 * f
-            for _ in range(d2):
-                n2 = n2 * f
-        n = n1 - n2 if negate else n1 + n2
-        return RatFunc(n, fac=merged)._auto()
+        return rat_sum((self, -other if negate else other))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, fac=dict(self.fac))
@@ -152,13 +134,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        num = LaurentPoly.one()
-        for f, e in self.fac.items():
-            for _ in range(e):
-                num = num * f
-        mins, unit, core = _norm_factor(self.num)
-        num = num.mul_monomial(tuple(-m for m in mins), unit.inverse())
-        return RatFunc(num, fac={} if core is None else {core: 1})
+        return RatFunc(self.den, self.num)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inv()
@@ -230,18 +206,7 @@ class RatFunc:
         if not g.is_one():
             nshift = exact_div(nshift, g)
             den = exact_div(den, g)
-        _, lc = den.leading()
-        if not lc.is_one():
-            inv = lc.inverse()
-            nshift = nshift.scale(inv)
-            den = den.scale(inv)
-        num = nshift.mul_monomial(nmin)
-        dmin, dunit, dcore = _norm_factor(den)
-        if not dunit.is_one():
-            num = num.scale(dunit.inverse())
-        if any(dmin):
-            num = num.mul_monomial(tuple(-m for m in dmin))
-        return RatFunc(num, fac={} if dcore is None else {dcore: 1})
+        return RatFunc(nshift.mul_monomial(nmin), den)
 
     # -- semantic equality ----------------------------------------------------------
 

@@ -24,7 +24,13 @@ def cyc_to_json(c: Cyclotomic) -> list:
 
 
 def cyc_from_json(data) -> Cyclotomic:
-    return Cyclotomic(*data)
+    """Parse four "p" or "p/q" strings; any other shape raises ValueError."""
+    if not (isinstance(data, list) and len(data) == 4 and all(isinstance(x, str) for x in data)):
+        raise ValueError("a coefficient must be a list of four strings, got %r" % (data,))
+    try:
+        return Cyclotomic(*data)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in coefficient %r" % (data,)) from None
 
 
 def poly_to_json(p: LaurentPoly) -> list:
@@ -34,6 +40,9 @@ def poly_to_json(p: LaurentPoly) -> list:
 def poly_from_json(data) -> LaurentPoly:
     terms = {}
     for e, c in data:
+        # type(x) is int also rejects bool
+        if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+            raise ValueError("an exponent must be a list of three ints, got %r" % (e,))
         coeff = cyc_from_json(c)
         if coeff.is_zero():
             raise ValueError("zero coefficient in polynomial term %s" % (list(e),))
@@ -47,7 +56,10 @@ def ratfunc_to_json(f: RatFunc) -> dict:
 
 
 def ratfunc_from_json(data) -> RatFunc:
-    return RatFunc(poly_from_json(data["num"]), poly_from_json(data["den"]))
+    den = poly_from_json(data["den"])
+    if den.is_zero():
+        raise ValueError("empty denominator in a rational function")
+    return RatFunc(poly_from_json(data["num"]), den)
 
 
 def matrix_to_json(m: Matrix) -> dict:

@@ -40,7 +40,7 @@ from .catalog import (
 from .cyclotomic import Cyclotomic, ONE
 from .errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from .laurent import LaurentPoly, exact_div
-from .matrix import Matrix
+from .matrix import Matrix, components
 from .ratfunc import RatFunc
 from .specialize import QuadExt, QuadLocus, Specialization, Substitution
 
@@ -161,24 +161,8 @@ def blocks(p: PrimeIdealSpec) -> BlockDecomposition:
 
 def _linkage_refinement(labels, p: PrimeIdealSpec):
     facs = {lbl: set(f.name for f in single_ideal_factors(lbl, p)) for lbl in labels}
-    parent = {lbl: lbl for lbl in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in labels:
-        for b in labels:
-            if a.name < b.name and facs[a] & facs[b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    out: dict = {}
-    for lbl in labels:
-        out.setdefault(find(lbl), []).append(lbl)
-    return list(out.values())
+    edges = [(a, b) for a in labels for b in labels if a.name < b.name and facs[a] & facs[b]]
+    return components(labels, edges)[0]
 
 
 # -- composition series ------------------------------------------------------------------
@@ -322,7 +306,7 @@ def composition_series(
     mats = g.matrices
     if orientation == "transpose":
         mats = {k: m.transpose() for k, m in mats.items()}
-    lams = [p.param.apply_ratfunc(RatFunc.var(k)) for k in range(3)]
+    lams = g.eigenvalues()
     factors = []
     for comp in invariant_chain([mats[i] for i in sorted(mats)]):
         weights = _factor_weights(mats, comp, lams)
@@ -337,43 +321,25 @@ def composition_series(
 def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
     """Multiset of simple level-3 composition factors of a generic level-3
     module over the locus."""
-    n = sum(g3.exps)
-    if n == 1:
-        return (g3,)
-    if n == 2:
-        i, j = [k + 1 for k, e in enumerate(g3.exps) if e]
-        for spec in vanishing_for_k3(g3):
-            if locus.vanishes(spec.generator):
-                ei = [0, 0, 0]
-                ei[i - 1] = 1
-                ej = [0, 0, 0]
-                ej[j - 1] = 1
-                return (label3(tuple(ei)), label3(tuple(ej)))
-        return (g3,)
-    for i in (1, 2, 3):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        gen = _sq_plus_poly(i, j, k)
-        if locus.vanishes(gen):
-            sub = [0, 0, 0]
-            sub[j - 1] = sub[k - 1] = 1
-            one = [0, 0, 0]
-            one[i - 1] = 1
-            return tuple(
-                sorted(
-                    k3_factors_mod(locus, label3(tuple(sub))) + (label3(tuple(one)),),
-                    key=lambda l: l.name,
-                )
+    for spec in vanishing_for_k3(g3):
+        if not locus.vanishes(spec.generator):
+            continue
+        if sum(g3.exps) == 2:
+            return tuple(label3(_unit_exps(k)) for k, e in enumerate(g3.exps) if e)
+        # l_i^2 + l_j l_k: the pair {j, k} stays together, l_i splits off
+        i = spec.indices[0] - 1
+        sub = tuple(0 if k == i else 1 for k in range(3))
+        return tuple(
+            sorted(
+                k3_factors_mod(locus, label3(sub)) + (label3(_unit_exps(i)),),
+                key=lambda l: l.name,
             )
+        )
     return (g3,)
 
 
-def _sq_plus_poly(i, j, k) -> LaurentPoly:
-    e1 = [0, 0, 0]
-    e1[i - 1] = 2
-    e2 = [0, 0, 0]
-    e2[j - 1] = 1
-    e2[k - 1] = 1
-    return LaurentPoly.monomial(tuple(e1)) + LaurentPoly.monomial(tuple(e2))
+def _unit_exps(k: int) -> tuple:
+    return tuple(1 if x == k else 0 for x in range(3))
 
 
 # -- exact sequences ---------------------------------------------------------------------
@@ -523,7 +489,7 @@ def compose_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Branch]:
                 spec = base.compose_sub(sub, (p2.generator,))
             except ValueError:
                 continue
-            witness = _distinct_witness_monomial(spec)
+            witness = _distinct_witness(spec)
             if witness is not None:
                 witnesses.append(witness)
                 continue
@@ -534,7 +500,7 @@ def compose_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Branch]:
             locus = _quad_locus(base, factor, free)
             if locus is None:
                 continue
-            witness = _distinct_witness_quad(locus)
+            witness = _distinct_witness(locus)
             if witness is not None:
                 witnesses.append(witness)
                 continue
@@ -646,18 +612,8 @@ def _quad_locus(base: Specialization, factor: LaurentPoly, free):
     return QuadLocus(w, tuple(coeffs), tuple(exps))
 
 
-def _distinct_witness_monomial(spec: Specialization):
-    for a in range(3):
-        for b in range(a + 1, 3):
-            diff = LaurentPoly.var(a) - LaurentPoly.var(b)
-            if spec.vanishes(diff):
-                return "l%d-l%d" % (a + 1, b + 1)
-    return None
-
-
-def _distinct_witness_quad(locus: QuadLocus):
-    if locus.coordinates_distinct():
-        return None
+def _distinct_witness(locus):
+    """The first li - lj vanishing on the locus, as a name, or None."""
     for a in range(3):
         for b in range(a + 1, 3):
             if locus.vanishes(LaurentPoly.var(a) - LaurentPoly.var(b)):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cubichecke.cli import main
+from test_serialize import MALFORMED_ENTRIES
 
 
 def run(capsys, *argv):
@@ -78,6 +79,22 @@ def test_rep_verify_rejects_zero_coefficient(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "zero coefficient" in captured.err
+
+
+@pytest.mark.parametrize(
+    "entry", [e for _name, e in MALFORMED_ENTRIES], ids=[n for n, _e in MALFORMED_ENTRIES]
+)
+def test_rep_verify_rejects_malformed_entry(tmp_path, capsys, entry):
+    out_file = tmp_path / "rep.json"
+    main(["rep", "build", "--module", "l1*l2", "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    data["result"]["matrices"]["2"]["entries"][0][0] = entry
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    code = main(["rep", "verify", "--out", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
 
 
 def test_structure_census_checksum(capsys):
@@ -166,6 +183,12 @@ REPORT_DIGESTS = [
      "e6d2191d6b698ffd07ed14d5d3a6c052078e98ee38a0a4fa192f0bd2631c9b2b"),
     (("structure", "census", "--ideal", "l2^2+l1*l3"), 0,
      "29a99d06222267cd6c8315afed97aed6dbbc918580029d3592a46b8967649ed0"),
+    (("structure", "blocks", "--ideal", "l1^3-l2^2*l3"), 0,
+     "a68a57ee9b9d236997b2622fced86ecd5f543cdfa09ebaf3c7df5e619d858f87"),
+    (("structure", "sequence", "--ideal", "l1+theta*l2"), 0,
+     "db63f25d01ffa41e19a523eda572826bbb99c04df7c2e5a448ba5e8d1b225d19"),
+    (("structure", "census", "--ideal", "l2^3-l1^2*l3", "--ideal", "l3^3-l1^2*l2"), 0,
+     "963f89eccb2348d53f6f28b9908d4f8a4e5805448b355dfe2df9c537ed73578b"),
 ]
 
 

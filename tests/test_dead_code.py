@@ -1,6 +1,7 @@
 """Every library definition is used somewhere: no name in ``src/cubichecke``
 may have its own definition as its only whole-word occurrence across the
-library, the tests and the benchmark driver."""
+library, the tests and the benchmark driver.  Every module-level import of a
+library module is used in that module."""
 
 import ast
 import re
@@ -52,3 +53,25 @@ def test_no_unused_definitions():
             if sum(len(word.findall(text)) for text in sources) <= 1:
                 unused.append("%s.%s" % (path.stem, name))
     assert not unused, "defined but never used: %s" % ", ".join(unused)
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports, ``from __future__`` excepted."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused.extend(
+            "%s.%s" % (path.stem, name) for name in _imported_names(tree) if name not in loaded
+        )
+    assert not unused, "imported but never used: %s" % ", ".join(unused)

@@ -2,7 +2,7 @@ from fractions import Fraction
 import random
 
 from cubichecke.cyclotomic import Cyclotomic
-from cubichecke.matrix import Matrix, eval_matrix, num_eigenprojection
+from cubichecke.matrix import Matrix, components, eval_matrix, num_eigenprojection
 from cubichecke.ratfunc import RatFunc
 
 L1 = RatFunc.var(0)
@@ -41,6 +41,17 @@ def test_charpoly_block_structure():
         total = total + c * power
         power = power * L3
     assert total.is_zero()
+
+
+def test_components_order_and_cycle_edges():
+    # nodes in a scrambled order: groups follow it, inside and across groups
+    nodes = ["e", "b", "d", "a", "c", "f"]
+    edges = [("a", "b"), ("c", "d"), ("b", "e"), ("e", "a"), ("d", "c")]
+    groups, joined = components(nodes, edges)
+    assert groups == [["e", "b", "a"], ["d", "c"], ["f"]]
+    # ("e", "a") closes the triangle, ("d", "c") repeats an edge
+    assert joined == [True, True, True, False, False]
+    assert components(range(3), []) == ([[0], [1], [2]], [])
 
 
 def test_charpoly_matches_sympy_on_random_rationals():

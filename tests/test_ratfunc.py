@@ -121,3 +121,43 @@ def test_hash_agrees_with_eq(a, b, c):
     for other in ((a * b) / b, (a + c) - c, a.reduce()):
         assert other == a
         assert hash(other) == hash(a)
+
+
+def test_representatives_pinned():
+    """The stored representative, not just the value, stays fixed: reports
+    print it."""
+    p1, p2, p3 = (LaurentPoly.var(k) for k in range(3))
+    theta = Cyclotomic(-1, 0, 1, 0)
+    two = Cyclotomic.from_rational(2)
+    a = RatFunc(p1, p1 + p2)
+    b = RatFunc(LaurentPoly.monomial((0, -1, 0), theta), p2.scale(two) - p3)
+    cases = {
+        # non-unit leading coefficient and a negative exponent in the numerator
+        "inv": RatFunc(
+            LaurentPoly.monomial((-1, 0, 2), Cyclotomic(3, 1)) + p2.scale(two), p1 + p3
+        ).inv(),
+        "reduce_nonmonic": RatFunc(
+            (p1.scale(two) + p2.scale(Cyclotomic(3))) * (p1 - p3),
+            (p1.scale(two) - p3) * (p2.scale(theta) - p3.scale(Cyclotomic(5))),
+        ).reduce(),
+        "reduce_gcd": (
+            RatFunc(p1 * p1 - p2 * p2, (p1 - p2).scale(Cyclotomic(0, 0, 0, 3)) * (p1 + p3))
+            * RatFunc(LaurentPoly.monomial((0, -1, 0)))
+        ).reduce(),
+        "add": a + b,
+        "sub": a - b,
+        "unit_monomial_den": RatFunc(p1 + p2, LaurentPoly.monomial((1, -2, 0), Cyclotomic(3, 1))),
+    }
+    expected = {
+        "inv": "(1/2*l1^2+1/2*l1*l3)/(l1*l2+(3/2+1/2*z)*l3^2)",
+        "reduce_nonmonic": "(-z^2*l1^2-3/2*z^2*l1*l2+z^2*l1*l3+3/2*z^2*l2*l3)"
+        "/(l1*l2+5*z^2*l1*l3-1/2*l2*l3-5/2*z^2*l3^2)",
+        "reduce_gcd": "(-1/3*z^3*l1*l2^-1-1/3*z^3)/(l1+l3)",
+        "add": "(l1*l2-1/2*l1*l3+(-1/2+1/2*z^2)*l1*l2^-1+(-1/2+1/2*z^2))"
+        "/(l1*l2-1/2*l1*l3+l2^2-1/2*l2*l3)",
+        "sub": "(l1*l2-1/2*l1*l3+(1/2-1/2*z^2)*l1*l2^-1+(1/2-1/2*z^2))"
+        "/(l1*l2-1/2*l1*l3+l2^2-1/2*l2*l3)",
+        "unit_monomial_den": "(24/73-8/73*z+3/73*z^2-1/73*z^3)*l2^2"
+        "+(24/73-8/73*z+3/73*z^2-1/73*z^3)*l1^-1*l2^3",
+    }
+    assert {k: str(v) for k, v in cases.items()} == expected

@@ -34,6 +34,29 @@ def test_zero_coefficient_rejected():
         poly_from_json([[[1, 0, 0], ["1/2", "0", "0", "0"]], [[0, 0, 0], ["0", "0/7", "0", "0"]]])
 
 
+_ONE = ["1", "0", "0", "0"]
+
+# one malformed build-file entry per rule; each must raise ValueError
+MALFORMED_ENTRIES = [
+    ("five_strings", {"num": [[[0, 0, 0], ["1", "0", "0", "0", "0"]]], "den": [[[0, 0, 0], _ONE]]}),
+    ("two_strings", {"num": [[[0, 0, 0], ["1", "0"]]], "den": [[[0, 0, 0], _ONE]]}),
+    ("zero_denominator_string", {"num": [[[0, 0, 0], ["1/0", "0", "0", "0"]]], "den": [[[0, 0, 0], _ONE]]}),
+    ("float_coefficient", {"num": [[[0, 0, 0], [0.1, "0", "0", "0"]]], "den": [[[0, 0, 0], _ONE]]}),
+    ("empty_denominator", {"num": [[[0, 0, 0], _ONE]], "den": []}),
+    ("two_int_exponent", {"num": [[[1, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
+    ("float_exponent", {"num": [[[0.5, 0, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
+    ("bool_exponent", {"num": [[[True, 0, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "entry", [e for _name, e in MALFORMED_ENTRIES], ids=[n for n, _e in MALFORMED_ENTRIES]
+)
+def test_malformed_entry_rejected(entry):
+    with pytest.raises(ValueError):
+        ratfunc_from_json(entry)
+
+
 def test_poly_roundtrip_and_order():
     p = LaurentPoly.var(0) * LaurentPoly.var(1) + LaurentPoly.monomial((-1, 0, 2), THETA)
     data = poly_to_json(p)
