@@ -4,8 +4,11 @@ restriction rules, prime ideals and the S3 permutation action.
 Labels are written ``{det(sigma1)}``: a level-4 module is identified by the
 exponent triple of that determinant monomial, plus a cube-root tag for the two
 nine-dimensional modules, plus (for the non-generic simple modules) a star or
-a split marker.  All data for permuted instances is generated from one base
-family per shape, so the catalog is S3-equivariant by construction.
+a split marker.  Every family -- the regular modules at levels 4 and 3, the
+Theorem-A ideals, the Table-2 rows (ideal names stored with each level-4 base)
+and the Table-3 exceptional modules -- is one base member, or one per theta
+tag, and its S3 orbit (``_orbit``), so the whole catalog is S3-equivariant by
+construction.
 
 Frozen path-order convention: the level-3 constituents of each level-4 module
 are listed in a fixed order per family (recorded in ``_BASE4``), and paths
@@ -15,10 +18,12 @@ label.  All golden matrices depend on this order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
-from .cyclotomic import Cyclotomic, ONE, theta_power
+from .cyclotomic import Cyclotomic, I_UNIT, MINUS_ONE, ONE, THETA, THETA2
 from .laurent import LaurentPoly
 from .ratfunc import RatFunc
 from .specialize import Specialization, Substitution
@@ -144,143 +149,165 @@ class RegularModuleSpec:
         return {(i, j): m for (i, j, m) in self.weights}
 
 
-# -- base level-4 families -------------------------------------------------------
-# (exps, theta) -> dim, delta_sq monomial (coeff, exps), weights, restriction order
+# -- S3 orbits and the regular modules ----------------------------------------------
+
 
 def _w(*pairs):
     return tuple((i, j, 1) for (i, j) in pairs)
 
 
 def _l3(*index_sets):
-    out = []
-    for s in index_sets:
-        exps = [0, 0, 0]
-        for i in s:
-            exps[i - 1] = 1
-        out.append(label3(tuple(exps)))
-    return tuple(out)
+    return tuple(label3(tuple(int(i in s) for i in (1, 2, 3))) for s in index_sets)
 
 
-_BASE4 = [
+def _orbit(bases, image, key) -> tuple:
+    """The images ``image(p, base)`` under PERMS, in PERMS order, keeping the
+    first image of each key; the base members are iterated inside each p."""
+    seen = {}
+    for p in PERMS:
+        for base in bases:
+            member = image(p, base)
+            seen.setdefault(key(member), member)
+    return tuple(seen.values())
+
+
+def _perm_weights(p, weights) -> tuple:
+    return tuple((p[i - 1] + 1, p[j - 1] + 1, m) for (i, j, m) in weights)
+
+
+def _perm_regular(p, spec: RegularModuleSpec) -> RegularModuleSpec:
+    return RegularModuleSpec(
+        perm_label(p, spec.label),
+        spec.dim,
+        perm_ratfunc(p, spec.delta_sq),
+        _perm_weights(p, spec.weights),
+        tuple(perm_label(p, g3) for g3 in spec.restriction),
+    )
+
+
+# each level-4 base with its Table-2 row, as ideal names for the base member
+_BASE4 = (
     # nine-dimensional, theta tag 1 and 2
-    dict(
-        exps=(3, 3, 3),
-        theta=1,
-        dim=9,
-        delta=(1, (4, 4, 4)),  # theta^1 * l1^4 l2^4 l3^4
-        weights=_w(*[(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
-        restriction=_l3({1, 2}, {1, 3}, {1, 2, 3}, {2, 3}),
+    *(
+        (
+            RegularModuleSpec(
+                label=label4((3, 3, 3), e),
+                dim=9,
+                delta_sq=RatFunc.monomial((4, 4, 4), theta),
+                weights=_w(*[(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
+                restriction=_l3({1, 2}, {1, 3}, {1, 2, 3}, {2, 3}),
+            ),
+            (
+                "l1+theta*l2", "l2+theta*l1", "l1+theta*l3", "l3+theta*l1",
+                "l2+theta*l3", "l3+theta*l2",
+                "l1^2-%s*l2*l3" % name, "l2^2-%s*l1*l3" % name, "l3^2-%s*l1*l2" % name,
+            ),
+        )
+        for e, theta, name in ((1, THETA, "theta"), (2, THETA2, "theta^2"))
     ),
-    dict(
-        exps=(3, 3, 3),
-        theta=2,
-        dim=9,
-        delta=(2, (4, 4, 4)),
-        weights=_w(*[(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
-        restriction=_l3({1, 2}, {1, 3}, {1, 2, 3}, {2, 3}),
+    (
+        RegularModuleSpec(
+            label=label4((4, 2, 2)),
+            dim=8,
+            delta_sq=RatFunc.monomial((6, 3, 3)),
+            weights=((1, 1, 2),) + _w((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)),
+            restriction=_l3({1}, {1, 2}, {1, 2, 3}, {1, 3}),
+        ),
+        ("l2^3-l1^2*l3", "l3^3-l1^2*l2", "l1^2-theta*l2*l3", "l1^2-theta^2*l2*l3"),
     ),
-    dict(
-        exps=(4, 2, 2),
-        theta=0,
-        dim=8,
-        delta=(0, (6, 3, 3)),
-        weights=((1, 1, 2),) + _w((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)),
-        restriction=_l3({1}, {1, 2}, {1, 2, 3}, {1, 3}),
+    (
+        RegularModuleSpec(
+            label=label4((3, 2, 1)),
+            dim=6,
+            delta_sq=RatFunc.monomial((6, 4, 2)),
+            weights=_w((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)),
+            restriction=_l3({1, 2, 3}, {1, 2}, {1}),
+        ),
+        ("l1+l3", "l2+l3", "l2^2+l1*l3", "l1^3-l2^2*l3"),
     ),
-    dict(
-        exps=(3, 2, 1),
-        theta=0,
-        dim=6,
-        delta=(0, (6, 4, 2)),
-        weights=_w((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)),
-        restriction=_l3({1, 2, 3}, {1, 2}, {1}),
+    (
+        RegularModuleSpec(
+            label=label4((1, 1, 1)),
+            dim=3,
+            delta_sq=RatFunc.monomial((4, 4, 4)),
+            weights=_w((1, 1), (2, 2), (3, 3)),
+            restriction=_l3({1, 2, 3}),
+        ),
+        ("l1^2+l2*l3", "l2^2+l1*l3", "l3^2+l1*l2"),
     ),
-    dict(
-        exps=(1, 1, 1),
-        theta=0,
+    (
+        RegularModuleSpec(
+            label=label4((2, 1, 0)),
+            dim=3,
+            delta_sq=RatFunc.monomial((8, 4, 0)),
+            weights=_w((1, 1), (1, 2), (2, 1)),
+            restriction=_l3({1, 2}, {1}),
+        ),
+        ("l1+i*l2", "l2+i*l1"),
+    ),
+    (
+        RegularModuleSpec(
+            label=label4((1, 1, 0)),
+            dim=2,
+            delta_sq=RatFunc.monomial((6, 6, 0)),
+            weights=_w((1, 1), (2, 2)),
+            restriction=_l3({1, 2}),
+        ),
+        ("l1+theta*l2", "l2+theta*l1"),
+    ),
+    (
+        RegularModuleSpec(
+            label=label4((1, 0, 0)),
+            dim=1,
+            delta_sq=RatFunc.monomial((12, 0, 0)),
+            weights=_w((1, 1)),
+            restriction=_l3({1}),
+        ),
+        (),
+    ),
+)
+
+_BASE3 = (
+    RegularModuleSpec(
+        label=label3((1, 1, 1)),
         dim=3,
-        delta=(0, (4, 4, 4)),
+        delta_sq=RatFunc.monomial((2, 2, 2)),
         weights=_w((1, 1), (2, 2), (3, 3)),
-        restriction=_l3({1, 2, 3}),
+        restriction=_l3({1}, {2}, {3}),
     ),
-    dict(
-        exps=(2, 1, 0),
-        theta=0,
-        dim=3,
-        delta=(0, (8, 4, 0)),
-        weights=_w((1, 1), (1, 2), (2, 1)),
-        restriction=_l3({1, 2}, {1}),
-    ),
-    dict(
-        exps=(1, 1, 0),
-        theta=0,
+    RegularModuleSpec(
+        label=label3((1, 1, 0)),
         dim=2,
-        delta=(0, (6, 6, 0)),
+        delta_sq=RatFunc.monomial((3, 3, 0), MINUS_ONE),
         weights=_w((1, 1), (2, 2)),
-        restriction=_l3({1, 2}),
+        restriction=_l3({1}, {2}),
     ),
-    dict(
-        exps=(1, 0, 0),
-        theta=0,
+    RegularModuleSpec(
+        label=label3((1, 0, 0)),
         dim=1,
-        delta=(0, (12, 0, 0)),
+        delta_sq=RatFunc.monomial((6, 0, 0)),
         weights=_w((1, 1)),
         restriction=_l3({1}),
     ),
-]
+)
 
 
-def _mono_ratfunc(coeff_theta_power: int, exps) -> RatFunc:
-    return RatFunc.monomial(tuple(exps), theta_power(coeff_theta_power))
-
-
-def _instance4(base: dict, p) -> RegularModuleSpec:
-    lbl = ModuleLabel(4, perm_exps(p, base["exps"]), base["theta"])
-    coeff_pow, dexps = base["delta"]
-    delta = _mono_ratfunc(coeff_pow, perm_exps(p, dexps))
-    weights = tuple(
-        (p[i - 1] + 1, p[j - 1] + 1, m) for (i, j, m) in base["weights"]
+def _families(bases, image) -> tuple:
+    """The S3 orbit of each family, a run of base members of one shape, in turn."""
+    return tuple(
+        spec
+        for _, family in groupby(bases, key=lambda s: _shape(s.label.exps))
+        for spec in _orbit(tuple(family), image, lambda s: s.label)
     )
-    restriction = tuple(perm_label(p, g3) for g3 in base["restriction"])
-    return RegularModuleSpec(lbl, base["dim"], delta, weights, restriction)
 
 
 @lru_cache(maxsize=None)
 def catalog_regular(level: int) -> tuple:
     """All regular-module specs at the given level (24 at level 4, 7 at level 3)."""
     if level == 4:
-        seen = {}
-        for base in _BASE4:
-            for p in PERMS:
-                spec = _instance4(base, p)
-                if spec.label not in seen:
-                    seen[spec.label] = spec
-        return tuple(seen.values())
+        return _families((spec for spec, _row in _BASE4), _perm_regular)
     if level == 3:
-        out = []
-        for exps, dim in (((1, 1, 1), 3),):
-            out.append(
-                RegularModuleSpec(
-                    label3(exps), dim, delta_scalar(label3(exps)),
-                    _w((1, 1), (2, 2), (3, 3)),
-                    _l3({1}, {2}, {3}),
-                )
-            )
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            exps = [0, 0, 0]
-            exps[i - 1] = exps[j - 1] = 1
-            lbl = label3(tuple(exps))
-            out.append(
-                RegularModuleSpec(
-                    lbl, 2, delta_scalar(lbl), _w((i, i), (j, j)), _l3({i}, {j})
-                )
-            )
-        for i in (1, 2, 3):
-            lbl = label3(tuple(1 if k == i - 1 else 0 for k in range(3)))
-            out.append(
-                RegularModuleSpec(lbl, 1, delta_scalar(lbl), _w((i, i)), _l3({i}))
-            )
-        return tuple(out)
+        return _families(_BASE3, _perm_regular)
     raise ValueError("catalog_regular is defined for levels 3 and 4")
 
 
@@ -296,16 +323,7 @@ def delta_scalar(label: ModuleLabel) -> RatFunc:
     """The scalar by which the square of the level's half-twist acts."""
     if label.level == 2:
         return RatFunc.monomial(tuple(2 * e for e in label.exps))
-    if label.level == 3:
-        n = sum(label.exps)
-        if n == 1:
-            return RatFunc.monomial(tuple(6 * e for e in label.exps))
-        if n == 2:
-            return RatFunc.monomial(
-                tuple(3 * e for e in label.exps), Cyclotomic.from_rational(-1)
-            )
-        return RatFunc.monomial((2, 2, 2))
-    if label.level == 4:
+    if label.level in (3, 4):
         return _spec(label).delta_sq
     raise ValueError("no delta scalar at level %d" % label.level)
 
@@ -327,7 +345,6 @@ def enumerate_paths(g4: ModuleLabel) -> tuple:
 @dataclass(frozen=True)
 class PrimeIdealSpec:
     family: str
-    indices: tuple
     name: str
     generator: LaurentPoly
     param: Specialization | None   # None only for the excluded li - lj family
@@ -346,117 +363,68 @@ def _mono(coeff: Cyclotomic, exps) -> LaurentPoly:
     return LaurentPoly.monomial(tuple(exps), coeff)
 
 
-def _exps_one(*indices):
-    out = [0, 0, 0]
-    for i in indices:
-        out[i - 1] += 1
-    return tuple(out)
+# one (name, generator) base member per family; sq_theta has one per power of theta
+_IDEAL_BASES = (
+    ("diff", (("l1-l2", _v(1) - _v(2)),)),
+    ("sum", (("l1+l2", _v(1) + _v(2)),)),
+    ("theta_sum", (("l1+theta*l2", _v(1) + _v(2).scale(THETA)),)),
+    ("i_sum", (("l1+i*l2", _v(1) + _v(2).scale(I_UNIT)),)),
+    ("sq_plus", (("l1^2+l2*l3", _mono(ONE, (2, 0, 0)) + _mono(ONE, (0, 1, 1))),)),
+    (
+        "sq_theta",
+        (
+            ("l1^2-theta*l2*l3", _mono(ONE, (2, 0, 0)) - _mono(THETA, (0, 1, 1))),
+            ("l1^2-theta^2*l2*l3", _mono(ONE, (2, 0, 0)) - _mono(THETA2, (0, 1, 1))),
+        ),
+    ),
+    ("cubic", (("l1^3-l2^2*l3", _mono(ONE, (3, 0, 0)) - _mono(ONE, (0, 2, 1))),)),
+)
 
 
-def _sub(var_1b, coeff, exps) -> Substitution:
-    return Substitution(var_1b - 1, coeff, tuple(exps))
+def _perm_name(p, name: str) -> str:
+    return re.sub(r"l([123])", lambda m: "l%d" % (p[int(m.group(1)) - 1] + 1), name)
 
 
-def _ideal(family, indices, name, generator, sub) -> PrimeIdealSpec:
-    param = None
-    if sub is not None:
-        param = Specialization((sub,), (generator,))
-    return PrimeIdealSpec(family, indices, name, generator, param)
+def _parametrize(gen: LaurentPoly) -> Specialization:
+    """Solve the binomial ``gen`` for its highest-indexed variable that occurs
+    linearly: c*l_v*m + c'*m' = 0 gives l_v := -(c'/c) * m'/m."""
+    terms = list(gen.terms.items())
+    for v in (2, 1, 0):
+        for (e, c), (e_other, c_other) in (terms, terms[::-1]):
+            if e[v] == 1 and e_other[v] == 0:
+                exps = tuple(0 if k == v else e_other[k] - e[k] for k in range(3))
+                sub = Substitution(v, -(c_other * c.inverse()), exps)
+                return Specialization((sub,), (gen,))
+    raise ValueError("%s has no variable to solve for" % gen)
 
 
 @lru_cache(maxsize=None)
 def ideal_catalog() -> tuple:
     """Every Theorem-A polynomial family with all index assignments.
 
-    The li - lj family is carried for completeness but has no parametrization;
-    downstream operations reject it (the eigenvalues stay pairwise distinct).
-    Parametrizations eliminate the highest-indexed variable that occurs
-    linearly, so the image is always a pure rational-function field.
+    Each family is the S3 orbit of its base members; an ideal's name is the
+    base name with l1, l2, l3 renamed, and ideals whose generators agree up
+    to a scalar are one.  The li - lj family is carried for completeness but
+    has no parametrization; downstream operations reject it (the eigenvalues
+    stay pairwise distinct).  Every other parametrization eliminates the
+    highest-indexed variable that occurs linearly in the generator, so the
+    image is always a pure rational-function field.
     """
-    out = []
-    theta = theta_power(1)
-    theta2 = theta_power(2)
-    i_unit = Cyclotomic(0, 0, 0, 1)
-    minus = Cyclotomic.from_rational(-1)
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        out.append(
-            _ideal("diff", (i, j), "l%d-l%d" % (i, j), _v(i) - _v(j), None)
-        )
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        out.append(
-            _ideal(
-                "sum", (i, j), "l%d+l%d" % (i, j), _v(i) + _v(j),
-                _sub(j, minus, _exps_one(i)),
-            )
-        )
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            gen = _v(i) + _v(j).scale(theta)
-            hi, lo = max(i, j), min(i, j)
-            coeff = -theta2 if hi == j else -theta
-            out.append(
-                _ideal(
-                    "theta_sum", (i, j), "l%d+theta*l%d" % (i, j), gen,
-                    _sub(hi, coeff, _exps_one(lo)),
-                )
-            )
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            gen = _v(i) + _v(j).scale(i_unit)
-            hi, lo = max(i, j), min(i, j)
-            coeff = i_unit if hi == j else (minus * i_unit)
-            out.append(
-                _ideal(
-                    "i_sum", (i, j), "l%d+i*l%d" % (i, j), gen,
-                    _sub(hi, coeff, _exps_one(lo)),
-                )
-            )
-    for i in (1, 2, 3):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        gen = _mono(ONE, _exps_one(i, i)) + _mono(ONE, _exps_one(j, k))
-        exps = [0, 0, 0]
-        exps[i - 1] = 2
-        exps[j - 1] = -1
-        out.append(
-            _ideal(
-                "sq_plus", (i,), "l%d^2+l%d*l%d" % (i, j, k), gen,
-                _sub(k, minus, tuple(exps)),
-            )
-        )
-    for i in (1, 2, 3):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        for e in (1, 2):
-            gen = _mono(ONE, _exps_one(i, i)) - _mono(theta_power(e), _exps_one(j, k))
-            exps = [0, 0, 0]
-            exps[i - 1] = 2
-            exps[j - 1] = -1
-            tname = "theta" if e == 1 else "theta^2"
-            out.append(
-                _ideal(
-                    "sq_theta", (i, e), "l%d^2-%s*l%d*l%d" % (i, tname, j, k), gen,
-                    _sub(k, theta_power(3 - e), tuple(exps)),
-                )
-            )
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            k = [x for x in (1, 2, 3) if x not in (i, j)][0]
-            gen = _mono(ONE, _exps_one(i, i, i)) - _mono(ONE, _exps_one(j, j, k))
-            exps = [0, 0, 0]
-            exps[i - 1] = 3
-            exps[j - 1] = -2
-            out.append(
-                _ideal(
-                    "cubic", (i, j), "l%d^3-l%d^2*l%d" % (i, j, k), gen,
-                    _sub(k, ONE, tuple(exps)),
-                )
-            )
-    return tuple(out)
+
+    def image(p, base):
+        family, (name, gen) = base
+        gen = perm_poly(p, gen)
+        param = None if family == "diff" else _parametrize(gen)
+        return PrimeIdealSpec(family, _perm_name(p, name), gen, param)
+
+    def monic(spec):
+        return spec.generator.scale(spec.generator.leading()[1].inverse())
+
+    return tuple(
+        spec
+        for family, bases in _IDEAL_BASES
+        for spec in _orbit(tuple((family, b) for b in bases), image, monic)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -488,88 +456,16 @@ def perm_ideal(p, spec: PrimeIdealSpec) -> PrimeIdealSpec:
 @lru_cache(maxsize=None)
 def vanishing_for_module(g4: ModuleLabel) -> tuple:
     """The Table-2 row of the module: ideals where it fails to be semisimple."""
-    base, p = _base_and_perm(g4)
-    shape = _shape(base["exps"])
-    names: list[str] = []
-    if shape == (3, 3, 3):
-        for (i, j) in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-            names.append("l%d+theta*l%d" % (i, j))
-        e = base["theta"]
-        for i in (1, 2, 3):
-            j, k = [x for x in (1, 2, 3) if x != i]
-            tname = "theta" if e == 1 else "theta^2"
-            names.append("l%d^2-%s*l%d*l%d" % (i, tname, j, k))
-        return tuple(ideal_by_name(n) for n in names)
-    if shape == (4, 2, 2):
-        i1, i2, i3 = (p[0] + 1, p[1] + 1, p[2] + 1)
-        lo, hi = min(i2, i3), max(i2, i3)
-        out = [
-            ideal_for_generator(
-                _mono(ONE, _exps_one(i2, i2, i2)) - _mono(ONE, _exps_one(i1, i1, i3))
-            ),
-            ideal_for_generator(
-                _mono(ONE, _exps_one(i3, i3, i3)) - _mono(ONE, _exps_one(i1, i1, i2))
-            ),
-        ]
-        for e in (1, 2):
-            out.append(
-                ideal_for_generator(
-                    _mono(ONE, _exps_one(i1, i1))
-                    - _mono(theta_power(e), _exps_one(lo, hi))
-                )
-            )
-        return tuple(out)
-    if shape == (3, 2, 1):
-        i1, i2, i3 = (p[0] + 1, p[1] + 1, p[2] + 1)
-        return (
-            ideal_for_generator(_v(i1) + _v(i3)),
-            ideal_for_generator(_v(i2) + _v(i3)),
-            ideal_for_generator(
-                _mono(ONE, _exps_one(i2, i2)) + _mono(ONE, _exps_one(i1, i3))
-            ),
-            ideal_for_generator(
-                _mono(ONE, _exps_one(i1, i1, i1)) - _mono(ONE, _exps_one(i2, i2, i3))
-            ),
-        )
-    if shape == (1, 1, 1):
-        return vanishing_for_k3(label3((1, 1, 1)))
-    if shape == (2, 1, 0):
-        i1 = g4.exps.index(2) + 1
-        i2 = g4.exps.index(1) + 1
-        return (
-            ideal_by_name("l%d+i*l%d" % (i1, i2)),
-            ideal_by_name("l%d+i*l%d" % (i2, i1)),
-        )
-    if shape == (1, 1, 0):
-        i1, i2 = [k + 1 for k, e in enumerate(g4.exps) if e]
-        return (
-            ideal_by_name("l%d+theta*l%d" % (i1, i2)),
-            ideal_by_name("l%d+theta*l%d" % (i2, i1)),
-        )
-    return ()
-
-
-def _base_and_perm(g4: ModuleLabel):
-    for base in _BASE4:
-        if base["theta"] != g4.theta:
-            continue
+    for base, row in _BASE4:
         for p in PERMS:
-            if perm_exps(p, base["exps"]) == g4.exps:
-                return base, p
+            if perm_label(p, base.label) == g4:
+                return tuple(perm_ideal(p, ideal_by_name(name)) for name in row)
     raise KeyError("unknown level-4 label %s" % g4)
 
 
 def vanishing_for_k3(g3: ModuleLabel) -> tuple:
-    n = sum(g3.exps)
-    if n == 1:
-        return ()
-    if n == 2:
-        i, j = [k + 1 for k, e in enumerate(g3.exps) if e]
-        return (ideal_by_name("l%d+theta*l%d" % (i, j)), ideal_by_name("l%d+theta*l%d" % (j, i)))
-    return tuple(
-        ideal_by_name("l%d^2+l%d*l%d" % (i, *[x for x in (1, 2, 3) if x != i]))
-        for i in (1, 2, 3)
-    )
+    """The row of a level-3 module: that of the level-4 module with its exponents."""
+    return vanishing_for_module(label4(g3.exps))
 
 
 # -- exceptional simple modules (Table 3) -------------------------------------------
@@ -588,92 +484,68 @@ class ExceptionalSpec:
         return {(i, j): m for (i, j, m) in self.weights}
 
 
-def _star2(i, j) -> ExceptionalSpec:
-    exps = _exps_one(i, j)
-    lbl = ModuleLabel(4, exps, star=True)
-    delta = RatFunc.monomial(tuple(6 * e for e in exps), Cyclotomic.from_rational(-1))
-    defining = _mono(ONE, _exps_one(i, i)) + _mono(ONE, _exps_one(j, j))
+def _perm_exceptional(p, spec: ExceptionalSpec) -> ExceptionalSpec:
     return ExceptionalSpec(
-        lbl, 2, delta, _w((i, j), (j, i)), (label3(exps),), defining
+        perm_label(p, spec.label),
+        spec.dim,
+        perm_ratfunc(p, spec.delta_sq),
+        _perm_weights(p, spec.weights),
+        tuple(perm_label(p, g3) for g3 in spec.k3_content),
+        perm_poly(p, spec.defining),
     )
 
 
-def _bar3(i) -> ExceptionalSpec:
-    j, k = [x for x in (1, 2, 3) if x != i]
-    lbl = ModuleLabel(4, (1, 1, 1), bar=_exps_one(i))
-    delta = RatFunc.monomial((4, 4, 4))
-    defining = _v(j) + _v(k)
-    return ExceptionalSpec(
-        lbl, 3, delta, _w((i, i), (j, k), (k, j)), (label3((1, 1, 1)),), defining
-    )
-
-
-def _four(i) -> ExceptionalSpec:
-    j, k = [x for x in (1, 2, 3) if x != i]
-    exps = tuple(2 if x == i - 1 else 1 for x in range(3))
-    lbl = ModuleLabel(4, exps)
-    dexps = tuple(6 if x == i - 1 else 3 for x in range(3))
-    delta = RatFunc.monomial(dexps, Cyclotomic.from_rational(-1))
-    defining = _v(j) + _v(k)
-    return ExceptionalSpec(
-        lbl, 4, delta, _w((i, j), (j, i), (i, k), (k, i)),
-        (label3((1, 1, 1)), label3(_exps_one(i))),
-        defining,
-    )
-
-
-def _five(a, b, c) -> ExceptionalSpec:
-    exps = [0, 0, 0]
-    exps[a - 1] = 2
-    exps[b - 1] = 2
-    exps[c - 1] = 1
-    lbl = ModuleLabel(4, tuple(exps), bar=tuple(2 if x == a - 1 else 0 for x in range(3)))
-    dexps = [0, 0, 0]
-    dexps[b - 1] = 6
-    dexps[a - 1] = 4
-    dexps[c - 1] = 2
-    delta = RatFunc.monomial(tuple(dexps))
-    defining = _mono(ONE, _exps_one(b, b, b)) - _mono(ONE, _exps_one(a, a, c))
-    return ExceptionalSpec(
-        lbl, 5, delta, _w((a, a), (b, a), (a, b), (b, c), (c, b)),
-        (label3((1, 1, 1)), label3(_exps_one(a, b))),
-        defining,
-    )
-
-
-def _seven(i, e) -> ExceptionalSpec:
-    j, k = [x for x in (1, 2, 3) if x != i]
-    exps = tuple(3 if x == i - 1 else 2 for x in range(3))
-    lbl = ModuleLabel(4, exps, theta=e)
-    delta = RatFunc.monomial((4, 4, 4), theta_power(e))
-    defining = _mono(ONE, _exps_one(i, i)) - _mono(theta_power(e), _exps_one(j, k))
-    return ExceptionalSpec(
-        lbl, 7, delta,
-        _w((i, i), (i, j), (j, i), (i, k), (k, i), (j, k), (k, j)),
-        (label3((1, 1, 1)), label3(_exps_one(i, j)), label3(_exps_one(i, k))),
-        defining,
-    )
+# the base members; the 7-dim family has one per theta tag
+_BASE_EXCEPTIONAL = (
+    ExceptionalSpec(
+        label=ModuleLabel(4, (1, 1, 0), star=True),
+        dim=2,
+        delta_sq=RatFunc.monomial((6, 6, 0), MINUS_ONE),
+        weights=_w((1, 2), (2, 1)),
+        k3_content=(label3((1, 1, 0)),),
+        defining=_mono(ONE, (2, 0, 0)) + _mono(ONE, (0, 2, 0)),
+    ),
+    ExceptionalSpec(
+        label=ModuleLabel(4, (1, 1, 1), bar=(1, 0, 0)),
+        dim=3,
+        delta_sq=RatFunc.monomial((4, 4, 4)),
+        weights=_w((1, 1), (2, 3), (3, 2)),
+        k3_content=(label3((1, 1, 1)),),
+        defining=_v(2) + _v(3),
+    ),
+    ExceptionalSpec(
+        label=ModuleLabel(4, (2, 1, 1)),
+        dim=4,
+        delta_sq=RatFunc.monomial((6, 3, 3), MINUS_ONE),
+        weights=_w((1, 2), (2, 1), (1, 3), (3, 1)),
+        k3_content=(label3((1, 1, 1)), label3((1, 0, 0))),
+        defining=_v(2) + _v(3),
+    ),
+    ExceptionalSpec(
+        label=ModuleLabel(4, (2, 2, 1), bar=(2, 0, 0)),
+        dim=5,
+        delta_sq=RatFunc.monomial((4, 6, 2)),
+        weights=_w((1, 1), (2, 1), (1, 2), (2, 3), (3, 2)),
+        k3_content=(label3((1, 1, 1)), label3((1, 1, 0))),
+        defining=_mono(ONE, (0, 3, 0)) - _mono(ONE, (2, 0, 1)),
+    ),
+    *(
+        ExceptionalSpec(
+            label=ModuleLabel(4, (3, 2, 2), theta=e),
+            dim=7,
+            delta_sq=RatFunc.monomial((4, 4, 4), theta),
+            weights=_w((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)),
+            k3_content=(label3((1, 1, 1)), label3((1, 1, 0)), label3((1, 0, 1))),
+            defining=_mono(ONE, (2, 0, 0)) - _mono(theta, (0, 1, 1)),
+        )
+        for e, theta in ((1, THETA), (2, THETA2))
+    ),
+)
 
 
 @lru_cache(maxsize=None)
 def exceptional_catalog() -> tuple:
-    out = []
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        out.append(_star2(i, j))
-    for i in (1, 2, 3):
-        out.append(_bar3(i))
-    for i in (1, 2, 3):
-        out.append(_four(i))
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if a == b:
-                continue
-            c = [x for x in (1, 2, 3) if x not in (a, b)][0]
-            out.append(_five(a, b, c))
-    for i in (1, 2, 3):
-        for e in (1, 2):
-            out.append(_seven(i, e))
-    return tuple(out)
+    return _families(_BASE_EXCEPTIONAL, _perm_exceptional)
 
 
 @lru_cache(maxsize=None)

@@ -38,8 +38,13 @@ def poly_to_json(p: LaurentPoly) -> list:
 
 
 def poly_from_json(data) -> LaurentPoly:
+    if not isinstance(data, list):
+        raise ValueError("a polynomial must be a list of terms, got %r" % (data,))
     terms = {}
-    for e, c in data:
+    for term in data:
+        if not (isinstance(term, list) and len(term) == 2):
+            raise ValueError("a term must be an [exponent, coefficient] pair, got %r" % (term,))
+        e, c = term
         # type(x) is int also rejects bool
         if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
             raise ValueError("an exponent must be a list of three ints, got %r" % (e,))
@@ -56,6 +61,8 @@ def ratfunc_to_json(f: RatFunc) -> dict:
 
 
 def ratfunc_from_json(data) -> RatFunc:
+    if not isinstance(data, dict):
+        raise ValueError("a rational function must be an object, got %r" % (data,))
     den = poly_from_json(data["den"])
     if den.is_zero():
         raise ValueError("empty denominator in a rational function")

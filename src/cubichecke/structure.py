@@ -321,13 +321,12 @@ def composition_series(
 def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
     """Multiset of simple level-3 composition factors of a generic level-3
     module over the locus."""
-    for spec in vanishing_for_k3(g3):
+    for i, spec in enumerate(vanishing_for_k3(g3)):
         if not locus.vanishes(spec.generator):
             continue
         if sum(g3.exps) == 2:
             return tuple(label3(_unit_exps(k)) for k, e in enumerate(g3.exps) if e)
-        # l_i^2 + l_j l_k: the pair {j, k} stays together, l_i splits off
-        i = spec.indices[0] - 1
+        # row entry i is l_i^2 + l_j l_k: the pair {j, k} stays together, l_i splits off
         sub = tuple(0 if k == i else 1 for k in range(3))
         return tuple(
             sorted(
@@ -445,11 +444,15 @@ def census_single(p: PrimeIdealSpec) -> Census:
                 found.setdefault(lbl.name, lbl)
         else:
             found.setdefault(spec.label.name, spec.label)
-    entries = tuple(
+    return Census("ideal(%s)" % p.name, _census_entries(found.values()))
+
+
+def _census_entries(labels) -> tuple:
+    """Census entries of the labels, largest dimension first, then by name."""
+    return tuple(
         CensusEntry(lbl, module_dim(lbl), module_weights(lbl), delta_scalar(lbl))
-        for lbl in sorted(found.values(), key=lambda l: (-module_dim(l), l.name))
+        for lbl in sorted(labels, key=lambda l: (-module_dim(l), l.name))
     )
-    return Census("ideal(%s)" % p.name, entries)
 
 
 # -- two-ideal loci ----------------------------------------------------------------------------
@@ -751,13 +754,11 @@ def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:
         for spec in catalog_regular(4):
             for lbl in split_on_locus(branch.locus, spec.label):
                 found.setdefault(lbl.name, lbl)
-        entries = tuple(
-            CensusEntry(lbl, module_dim(lbl), module_weights(lbl), delta_scalar(lbl))
-            for lbl in sorted(found.values(), key=lambda l: (-module_dim(l), l.name))
-        )
         out.append(
             Census(
-                "ideals(%s, %s)" % (p1.name, p2.name), entries, branch.description
+                "ideals(%s, %s)" % (p1.name, p2.name),
+                _census_entries(found.values()),
+                branch.description,
             )
         )
     return out
@@ -779,35 +780,33 @@ class K3Report:
 
 def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
     """Blocks, sequences and census of the three-strand algebra."""
+    if point is None and p is None:
+        return K3Report("generic", tuple(s.label for s in catalog_regular(3)), ())
+    found: dict = {}
+    sequences = []
     if point is not None:
         _check_distinct(point)
         locus = Specialization(
             tuple(Substitution(k, c, (0, 0, 0)) for k, c in enumerate(point)), ()
         )
-        found: dict = {}
         for s in catalog_regular(3):
             for lbl in k3_factors_mod(locus, s.label):
                 found.setdefault(lbl.name, lbl)
-        entries = tuple(sorted(found.values(), key=lambda l: (-sum(l.exps), l.name)))
-        return K3Report("point", entries, ())
-    if p is None:
-        return K3Report("generic", tuple(s.label for s in catalog_regular(3)), ())
-    if p.family == "diff":
-        raise ValueError("distinct eigenvalues are assumed")
-    found: dict = {}
-    sequences = []
-    for s in catalog_regular(3):
-        if p in vanishing_for_k3(s.label):
-            series = _k3_series(s.label, p)
-            for lbl in series:
-                found.setdefault(lbl.name, lbl)
-            sequences.append((s.label, series))
-        else:
-            found.setdefault(s.label.name, s.label)
-    entries = tuple(
-        sorted(found.values(), key=lambda l: (-sum(l.exps), l.name))
-    )
-    return K3Report("ideal(%s)" % p.name, entries, tuple(sequences))
+        context = "point"
+    else:
+        if p.family == "diff":
+            raise ValueError("distinct eigenvalues are assumed")
+        for s in catalog_regular(3):
+            if p in vanishing_for_k3(s.label):
+                series = _k3_series(s.label, p)
+                for lbl in series:
+                    found.setdefault(lbl.name, lbl)
+                sequences.append((s.label, series))
+            else:
+                found.setdefault(s.label.name, s.label)
+        context = "ideal(%s)" % p.name
+    entries = tuple(sorted(found.values(), key=lambda l: (-sum(l.exps), l.name)))
+    return K3Report(context, entries, tuple(sequences))
 
 
 def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:

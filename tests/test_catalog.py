@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cubichecke import golden
@@ -19,11 +21,13 @@ from cubichecke.catalog import (
     perm_poly,
     perm_ratfunc,
     spec_for,
+    vanishing_for_k3,
     vanishing_for_module,
 )
 from cubichecke.cyclotomic import theta_power
 from cubichecke.expr import parse_label
 from cubichecke.ratfunc import RatFunc
+from cubichecke.serialize import canonical_dumps, poly_to_json
 
 
 def test_census_dimensions():
@@ -161,3 +165,53 @@ def test_exceptional_catalog():
     for s in exc:
         assert sum(m for m in s.weight_multiset().values()) == s.dim
         assert sum(sum(g3.exps) for g3 in s.k3_content) == s.dim
+
+
+def _poly_text(p) -> str:
+    return canonical_dumps(poly_to_json(p))
+
+
+def _label_text(label) -> str:
+    return "%s %r %r %r %r %r" % (
+        label.name, label.level, label.exps, label.theta, label.star, label.bar
+    )
+
+
+def _delta_text(f) -> str:
+    return "%s / %s" % (_poly_text(f.num), _poly_text(f.den))
+
+
+def _catalog_lines():
+    """Every catalog fact, in catalog order, one line each."""
+    lines = []
+    for spec in ideal_catalog():
+        lines.append("ideal %s %s %s" % (spec.family, spec.name, _poly_text(spec.generator)))
+        if spec.param is not None:
+            for s in spec.param.subs:
+                lines.append("  sub %d %s %r" % (s.var, s.coeff.coeff_strs(), s.exps))
+            for g in spec.param.generators:
+                lines.append("  kills %s" % _poly_text(g))
+    for level in (4, 3):
+        for spec in catalog_regular(level):
+            lines.append("regular %s dim %d" % (_label_text(spec.label), spec.dim))
+            lines.append("  delta %s" % _delta_text(spec.delta_sq))
+            lines.append("  weights %r" % (spec.weights,))
+            lines.append("  restriction %s" % [_label_text(g) for g in spec.restriction])
+            row = vanishing_for_module(spec.label) if level == 4 else vanishing_for_k3(spec.label)
+            lines.append("  row %s" % [p.name for p in row])
+    for spec in exceptional_catalog():
+        lines.append("exceptional %s dim %d" % (_label_text(spec.label), spec.dim))
+        lines.append("  delta %s" % _delta_text(spec.delta_sq))
+        lines.append("  weights %r" % (spec.weights,))
+        lines.append("  k3 %s" % [_label_text(g) for g in spec.k3_content])
+        lines.append("  defining %s" % _poly_text(spec.defining))
+    return lines
+
+
+def test_catalog_facts_pinned():
+    """Ideals with parametrizations, regular specs at levels 4 and 3 with their
+    Table-2 rows, and Table-3 specs: 85 facts, pinned by digest."""
+    lines = _catalog_lines()
+    assert sum(not line.startswith("  ") for line in lines) == 85
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "291cfbd55f3e63f63c8cced7e8263ba17978f436abf00e34e2678913472deec2"

@@ -46,6 +46,9 @@ MALFORMED_ENTRIES = [
     ("two_int_exponent", {"num": [[[1, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
     ("float_exponent", {"num": [[[0.5, 0, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
     ("bool_exponent", {"num": [[[True, 0, 0], _ONE]], "den": [[[0, 0, 0], _ONE]]}),
+    ("term_not_pair", {"num": [5], "den": [[[0, 0, 0], _ONE]]}),
+    ("num_not_list", {"num": 5, "den": [[[0, 0, 0], _ONE]]}),
+    ("entry_not_object", [1, 2]),
 ]
 
 

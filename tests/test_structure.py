@@ -1,7 +1,14 @@
 import pytest
 
 from cubichecke.builder import assemble
-from cubichecke.catalog import catalog_regular, ideal_by_name, label2, label4, vanishing_for_module
+from cubichecke.catalog import (
+    catalog_regular,
+    ideal_by_name,
+    label2,
+    label3,
+    label4,
+    vanishing_for_module,
+)
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
 from cubichecke.errors import IncompatibleIdeals, UnidentifiedFactor
 from cubichecke.structure import (
@@ -15,9 +22,11 @@ from cubichecke.structure import (
     composition_series,
     exact_sequence,
     invariant_chain,
+    k3_factors_mod,
     k3_structure,
     split_on_locus,
 )
+from cubichecke.specialize import Specialization, Substitution
 
 
 def test_classify_generic_point():
@@ -193,6 +202,22 @@ def test_k3_point_census():
     dims = sorted(sum(l.exps) for l in rep.entries)
     assert dims == [1, 1, 1, 2]
     assert any(l.name == "l1*l3" for l in rep.entries)
+
+
+@pytest.mark.parametrize(
+    "point, factors",
+    [
+        ((2, 1, -4), ["l1", "l2*l3"]),
+        ((1, 2, -4), ["l1*l3", "l2"]),
+        ((1, -4, 2), ["l1*l2", "l3"]),
+    ],
+)
+def test_k3_sq_plus_splits_off_the_squared_eigenvalue(point, factors):
+    # l_i^2 + l_j*l_k vanishes at the point: l_i splits off, {j, k} stays together
+    locus = Specialization(
+        tuple(Substitution(k, Cyclotomic(c), (0, 0, 0)) for k, c in enumerate(point)), ()
+    )
+    assert [l.name for l in k3_factors_mod(locus, label3((1, 1, 1)))] == factors
 
 
 def test_k3_point_rejects_zero_coordinate():
