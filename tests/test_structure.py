@@ -1,16 +1,19 @@
+import hashlib
+
 import pytest
 
 from cubichecke.builder import assemble
 from cubichecke.catalog import (
     catalog_regular,
     ideal_by_name,
+    ideal_catalog,
     label2,
     label3,
     label4,
     vanishing_for_module,
 )
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
-from cubichecke.errors import IncompatibleIdeals, UnidentifiedFactor
+from cubichecke.errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from cubichecke.structure import (
     blocks,
     census_generic,
@@ -26,6 +29,7 @@ from cubichecke.structure import (
     k3_structure,
     split_on_locus,
 )
+from cubichecke.serialize import canonical_dumps, poly_to_json
 from cubichecke.specialize import Specialization, Substitution
 
 
@@ -241,3 +245,72 @@ def test_exact_sequence_singleton_is_trivial():
     seq = exact_sequence(p, (b.singletons[0],))
     assert seq.labels == (b.singletons[0],)
     assert seq.factor_chain == (b.singletons[0],)
+
+
+# -- pins: every Table-2 series, every level-3 report, every ideal pair ------------------
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _delta_text(f) -> str:
+    return "%s / %s" % (canonical_dumps(poly_to_json(f.num)), canonical_dumps(poly_to_json(f.den)))
+
+
+def _entry_text(e) -> str:
+    return "%s dim %d weights %r delta %s" % (
+        e.label.name, e.dim, sorted(e.weights.items()), _delta_text(e.delta_sq)
+    )
+
+
+def _non_diff_ideals():
+    return [p for p in ideal_catalog() if p.family != "diff"]
+
+
+def test_table2_series_pinned():
+    """Factor labels, path indices and weights of all 75 Table-2 series."""
+    lines = []
+    for spec in catalog_regular(4):
+        for p in vanishing_for_module(spec.label):
+            lines.append("%s mod %s" % (spec.label.name, p.name))
+            for f in composition_series(spec.label, p).factors:
+                lines.append("  %s %r %r" % (f.label.name, f.indices, sorted(f.weights.items())))
+    assert sum(not line.startswith("  ") for line in lines) == 75
+    assert _digest(lines) == "a0d7bde1f4ab3f6a396ae8ae6d7dc1ddfac036879fe0347d5e04462ef466a2cd"
+
+
+def test_k3_reports_pinned():
+    """Entries and sequences of the level-3 report mod each non-diff ideal."""
+    lines = []
+    for p in _non_diff_ideals():
+        rep = k3_structure(p)
+        lines.append("%s %s" % (rep.context, [l.name for l in rep.entries]))
+        for g3, series in rep.sequences:
+            lines.append("  %s %s" % (g3.name, [l.name for l in series]))
+    assert sum(not line.startswith("  ") for line in lines) == 30
+    assert _digest(lines) == "2a02deaffab9ca34d7271b8f8dbfac0ebe32d062f5dca44cd6de9896c1cd9f14"
+
+
+def test_census_pair_outcomes_pinned():
+    """The census_pair outcome of every pair of non-diff ideals: its branches
+    with their entries, the incompatibility witness, or the error raised."""
+    ideals = _non_diff_ideals()
+    lines = []
+    for a in range(len(ideals)):
+        for b in range(a + 1, len(ideals)):
+            p1, p2 = ideals[a], ideals[b]
+            lines.append("%s, %s" % (p1.name, p2.name))
+            try:
+                branches = census_pair(p1, p2)
+            except IncompatibleIdeals as err:
+                lines.append("  incompatible %r" % (err.witness,))
+                continue
+            except CubicHeckeError as err:
+                lines.append("  %s: %s" % (type(err).__name__, err))
+                continue
+            for census in branches:
+                lines.append("  branch %s" % census.branch)
+                lines.extend("    %s" % _entry_text(e) for e in census.entries)
+    assert sum(not line.startswith("  ") for line in lines) == 435
+    assert _digest(lines) == "0fffc56ace9fdc660ee74bdce10ebfe3c07cb140bc0d8ee58b3140e73fefe2cf"
