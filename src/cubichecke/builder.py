@@ -23,7 +23,7 @@ from .catalog import (
     spec_for,
 )
 from .errors import GaugeInconsistent, PoleOnLocus
-from .jm import AB2BlockSpec, ab2_matrix, block_spec
+from .jm import ab2_matrix, block_spec
 from .matrix import Matrix, components
 from .ratfunc import RatFunc, valuation
 from .specialize import Specialization
@@ -68,19 +68,6 @@ class GeneratorSet:
             return s1 * s2 * s3 * s1 * s2 * s1
         s1, s2 = self.S1, self.S2
         return s1 * s2 * s1
-
-
-def _ctx_block(spec: AB2BlockSpec, ctx: Specialization | None) -> AB2BlockSpec:
-    if ctx is None:
-        return spec
-    return AB2BlockSpec(
-        tuple(ctx.apply_ratfunc(x) for x in spec.x),
-        ctx.apply_ratfunc(spec.delta),
-        tuple((ctx.apply_ratfunc(e), m) for (e, m) in spec.a_spectrum),
-        ctx.apply_ratfunc(spec.rank1_eigenvalue),
-        tuple(ctx.apply_ratfunc(e) for e in spec.pair),
-        spec.paths,
-    )
 
 
 def _block_diag(n: int, placements) -> Matrix:
@@ -214,8 +201,7 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
         return GeneratorSet(label, 4, base.basis, mats, None, gauge, certificate)
     paths = base.basis
     for idx in _groups(paths, "g2"):
-        spec = block_spec(paths[idx[0]].g2, label, 3)
-        _ctx_block(spec, ctx).check_x_distinct()
+        block_spec(paths[idx[0]].g2, label, 3).check_x_distinct(ctx)
     mats, adaptation = _on_locus(base.matrices, ctx)
     certificate["adapted_powers"] = adaptation
     return GeneratorSet(label, 4, paths, mats, ctx, gauge, certificate)

@@ -10,6 +10,10 @@ and the Table-3 exceptional modules -- is one base member, or one per theta
 tag, and its S3 orbit (``_orbit``), so the whole catalog is S3-equivariant by
 construction.
 
+Every catalogued simple module, generic (Table 1) or exceptional (Table 3), is
+one ``ModuleSpec``: dimension, central scalar, weights and level-3 restriction,
+plus, for an exceptional module, the polynomial whose locus it lives on.
+
 Frozen path-order convention: the level-3 constituents of each level-4 module
 are listed in a fixed order per family (recorded in ``_BASE4``), and paths
 inside a constituent are ordered by the eigenvalue index of their level-2
@@ -138,12 +142,16 @@ class Path:
 
 
 @dataclass(frozen=True)
-class RegularModuleSpec:
+class ModuleSpec:
+    """A catalogued simple module: generic (Table 1), or exceptional (Table 3)
+    when it carries a defining polynomial, valid over a locus iff that vanishes."""
+
     label: ModuleLabel
     dim: int
     delta_sq: RatFunc
     weights: tuple            # ((i, j, multiplicity), ...)
-    restriction: tuple        # ordered lower-level labels (the frozen path order)
+    restriction: tuple        # level-3 labels: the frozen path order, or the K3 content
+    defining: LaurentPoly | None = None
 
     def weight_multiset(self) -> dict:
         return {(i, j): m for (i, j, m) in self.weights}
@@ -175,13 +183,14 @@ def _perm_weights(p, weights) -> tuple:
     return tuple((p[i - 1] + 1, p[j - 1] + 1, m) for (i, j, m) in weights)
 
 
-def _perm_regular(p, spec: RegularModuleSpec) -> RegularModuleSpec:
-    return RegularModuleSpec(
+def _perm_spec(p, spec: ModuleSpec) -> ModuleSpec:
+    return ModuleSpec(
         perm_label(p, spec.label),
         spec.dim,
         perm_ratfunc(p, spec.delta_sq),
         _perm_weights(p, spec.weights),
         tuple(perm_label(p, g3) for g3 in spec.restriction),
+        None if spec.defining is None else perm_poly(p, spec.defining),
     )
 
 
@@ -190,7 +199,7 @@ _BASE4 = (
     # nine-dimensional, theta tag 1 and 2
     *(
         (
-            RegularModuleSpec(
+            ModuleSpec(
                 label=label4((3, 3, 3), e),
                 dim=9,
                 delta_sq=RatFunc.monomial((4, 4, 4), theta),
@@ -206,7 +215,7 @@ _BASE4 = (
         for e, theta, name in ((1, THETA, "theta"), (2, THETA2, "theta^2"))
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((4, 2, 2)),
             dim=8,
             delta_sq=RatFunc.monomial((6, 3, 3)),
@@ -216,7 +225,7 @@ _BASE4 = (
         ("l2^3-l1^2*l3", "l3^3-l1^2*l2", "l1^2-theta*l2*l3", "l1^2-theta^2*l2*l3"),
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((3, 2, 1)),
             dim=6,
             delta_sq=RatFunc.monomial((6, 4, 2)),
@@ -226,7 +235,7 @@ _BASE4 = (
         ("l1+l3", "l2+l3", "l2^2+l1*l3", "l1^3-l2^2*l3"),
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((1, 1, 1)),
             dim=3,
             delta_sq=RatFunc.monomial((4, 4, 4)),
@@ -236,7 +245,7 @@ _BASE4 = (
         ("l1^2+l2*l3", "l2^2+l1*l3", "l3^2+l1*l2"),
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((2, 1, 0)),
             dim=3,
             delta_sq=RatFunc.monomial((8, 4, 0)),
@@ -246,7 +255,7 @@ _BASE4 = (
         ("l1+i*l2", "l2+i*l1"),
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((1, 1, 0)),
             dim=2,
             delta_sq=RatFunc.monomial((6, 6, 0)),
@@ -256,7 +265,7 @@ _BASE4 = (
         ("l1+theta*l2", "l2+theta*l1"),
     ),
     (
-        RegularModuleSpec(
+        ModuleSpec(
             label=label4((1, 0, 0)),
             dim=1,
             delta_sq=RatFunc.monomial((12, 0, 0)),
@@ -268,21 +277,21 @@ _BASE4 = (
 )
 
 _BASE3 = (
-    RegularModuleSpec(
+    ModuleSpec(
         label=label3((1, 1, 1)),
         dim=3,
         delta_sq=RatFunc.monomial((2, 2, 2)),
         weights=_w((1, 1), (2, 2), (3, 3)),
         restriction=_l3({1}, {2}, {3}),
     ),
-    RegularModuleSpec(
+    ModuleSpec(
         label=label3((1, 1, 0)),
         dim=2,
         delta_sq=RatFunc.monomial((3, 3, 0), MINUS_ONE),
         weights=_w((1, 1), (2, 2)),
         restriction=_l3({1}, {2}),
     ),
-    RegularModuleSpec(
+    ModuleSpec(
         label=label3((1, 0, 0)),
         dim=1,
         delta_sq=RatFunc.monomial((6, 0, 0)),
@@ -305,18 +314,22 @@ def _families(bases, image) -> tuple:
 def catalog_regular(level: int) -> tuple:
     """All regular-module specs at the given level (24 at level 4, 7 at level 3)."""
     if level == 4:
-        return _families((spec for spec, _row in _BASE4), _perm_regular)
+        return _families((spec for spec, _row in _BASE4), _perm_spec)
     if level == 3:
-        return _families(_BASE3, _perm_regular)
+        return _families(_BASE3, _perm_spec)
     raise ValueError("catalog_regular is defined for levels 3 and 4")
 
 
-@lru_cache(maxsize=None)
-def spec_for(label: ModuleLabel) -> RegularModuleSpec:
-    for spec in catalog_regular(label.level):
+def _find(specs, label: ModuleLabel, kind: str) -> ModuleSpec:
+    for spec in specs:
         if spec.label == label:
             return spec
-    raise KeyError("unknown regular label %s" % label)
+    raise KeyError("unknown %s label %s" % (kind, label))
+
+
+@lru_cache(maxsize=None)
+def spec_for(label: ModuleLabel) -> ModuleSpec:
+    return _find(catalog_regular(label.level), label, "regular")
 
 
 def delta_scalar(label: ModuleLabel) -> RatFunc:
@@ -324,7 +337,7 @@ def delta_scalar(label: ModuleLabel) -> RatFunc:
     if label.level == 2:
         return RatFunc.monomial(tuple(2 * e for e in label.exps))
     if label.level in (3, 4):
-        return _spec(label).delta_sq
+        return module_spec(label).delta_sq
     raise ValueError("no delta scalar at level %d" % label.level)
 
 
@@ -385,7 +398,7 @@ def _perm_name(p, name: str) -> str:
     return re.sub(r"l([123])", lambda m: "l%d" % (p[int(m.group(1)) - 1] + 1), name)
 
 
-def _parametrize(gen: LaurentPoly) -> Specialization:
+def parametrize(gen: LaurentPoly) -> Specialization:
     """Solve the binomial ``gen`` for its highest-indexed variable that occurs
     linearly: c*l_v*m + c'*m' = 0 gives l_v := -(c'/c) * m'/m."""
     terms = list(gen.terms.items())
@@ -414,7 +427,7 @@ def ideal_catalog() -> tuple:
     def image(p, base):
         family, (name, gen) = base
         gen = perm_poly(p, gen)
-        param = None if family == "diff" else _parametrize(gen)
+        param = None if family == "diff" else parametrize(gen)
         return PrimeIdealSpec(family, _perm_name(p, name), gen, param)
 
     def monic(spec):
@@ -471,71 +484,47 @@ def vanishing_for_k3(g3: ModuleLabel) -> tuple:
 # -- exceptional simple modules (Table 3) -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionalSpec:
-    label: ModuleLabel
-    dim: int
-    delta_sq: RatFunc
-    weights: tuple
-    k3_content: tuple            # generic level-3 labels, with multiplicity
-    defining: LaurentPoly        # valid over a locus iff this vanishes there
-
-    def weight_multiset(self) -> dict:
-        return {(i, j): m for (i, j, m) in self.weights}
-
-
-def _perm_exceptional(p, spec: ExceptionalSpec) -> ExceptionalSpec:
-    return ExceptionalSpec(
-        perm_label(p, spec.label),
-        spec.dim,
-        perm_ratfunc(p, spec.delta_sq),
-        _perm_weights(p, spec.weights),
-        tuple(perm_label(p, g3) for g3 in spec.k3_content),
-        perm_poly(p, spec.defining),
-    )
-
-
 # the base members; the 7-dim family has one per theta tag
 _BASE_EXCEPTIONAL = (
-    ExceptionalSpec(
+    ModuleSpec(
         label=ModuleLabel(4, (1, 1, 0), star=True),
         dim=2,
         delta_sq=RatFunc.monomial((6, 6, 0), MINUS_ONE),
         weights=_w((1, 2), (2, 1)),
-        k3_content=(label3((1, 1, 0)),),
+        restriction=(label3((1, 1, 0)),),
         defining=_mono(ONE, (2, 0, 0)) + _mono(ONE, (0, 2, 0)),
     ),
-    ExceptionalSpec(
+    ModuleSpec(
         label=ModuleLabel(4, (1, 1, 1), bar=(1, 0, 0)),
         dim=3,
         delta_sq=RatFunc.monomial((4, 4, 4)),
         weights=_w((1, 1), (2, 3), (3, 2)),
-        k3_content=(label3((1, 1, 1)),),
+        restriction=(label3((1, 1, 1)),),
         defining=_v(2) + _v(3),
     ),
-    ExceptionalSpec(
+    ModuleSpec(
         label=ModuleLabel(4, (2, 1, 1)),
         dim=4,
         delta_sq=RatFunc.monomial((6, 3, 3), MINUS_ONE),
         weights=_w((1, 2), (2, 1), (1, 3), (3, 1)),
-        k3_content=(label3((1, 1, 1)), label3((1, 0, 0))),
+        restriction=(label3((1, 1, 1)), label3((1, 0, 0))),
         defining=_v(2) + _v(3),
     ),
-    ExceptionalSpec(
+    ModuleSpec(
         label=ModuleLabel(4, (2, 2, 1), bar=(2, 0, 0)),
         dim=5,
         delta_sq=RatFunc.monomial((4, 6, 2)),
         weights=_w((1, 1), (2, 1), (1, 2), (2, 3), (3, 2)),
-        k3_content=(label3((1, 1, 1)), label3((1, 1, 0))),
+        restriction=(label3((1, 1, 1)), label3((1, 1, 0))),
         defining=_mono(ONE, (0, 3, 0)) - _mono(ONE, (2, 0, 1)),
     ),
     *(
-        ExceptionalSpec(
+        ModuleSpec(
             label=ModuleLabel(4, (3, 2, 2), theta=e),
             dim=7,
             delta_sq=RatFunc.monomial((4, 4, 4), theta),
             weights=_w((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)),
-            k3_content=(label3((1, 1, 1)), label3((1, 1, 0)), label3((1, 0, 1))),
+            restriction=(label3((1, 1, 1)), label3((1, 1, 0)), label3((1, 0, 1))),
             defining=_mono(ONE, (2, 0, 0)) - _mono(theta, (0, 1, 1)),
         )
         for e, theta in ((1, THETA), (2, THETA2))
@@ -545,15 +534,12 @@ _BASE_EXCEPTIONAL = (
 
 @lru_cache(maxsize=None)
 def exceptional_catalog() -> tuple:
-    return _families(_BASE_EXCEPTIONAL, _perm_exceptional)
+    return _families(_BASE_EXCEPTIONAL, _perm_spec)
 
 
 @lru_cache(maxsize=None)
-def exceptional_spec(label: ModuleLabel) -> ExceptionalSpec:
-    for spec in exceptional_catalog():
-        if spec.label == label:
-            return spec
-    raise KeyError("unknown exceptional label %s" % label)
+def exceptional_spec(label: ModuleLabel) -> ModuleSpec:
+    return _find(exceptional_catalog(), label, "exceptional")
 
 
 def is_exceptional(label: ModuleLabel) -> bool:
@@ -563,22 +549,6 @@ def is_exceptional(label: ModuleLabel) -> bool:
     )
 
 
-def _spec(label: ModuleLabel):
+def module_spec(label: ModuleLabel) -> ModuleSpec:
     """The catalog entry of a level-3 or level-4 label, exceptional or regular."""
     return exceptional_spec(label) if is_exceptional(label) else spec_for(label)
-
-
-def module_dim(label: ModuleLabel) -> int:
-    if label.level == 2:
-        return 1
-    return _spec(label).dim
-
-
-def module_weights(label: ModuleLabel) -> dict:
-    return _spec(label).weight_multiset()
-
-
-def module_k3_content(label: ModuleLabel) -> tuple:
-    if is_exceptional(label):
-        return exceptional_spec(label).k3_content
-    return spec_for(label).restriction

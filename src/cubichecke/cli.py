@@ -110,7 +110,7 @@ def cmd_rep(args) -> int:
             "checks": [[c.name, c.passed] for c in report.checks],
         }
         if ctx is not None:
-            result["invariant_chain"] = invariant_chain([g.matrices[i] for i in sorted(g.matrices)])
+            result["invariant_chain"] = invariant_chain(g.generators())
         _emit(args, envelope(["rep", "build", args.module, args.ideal or "", args.gauge], result))
         return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
     # verify: re-read a build file and re-check all relations

@@ -238,11 +238,3 @@ class QuadLocus:
 
     def vanishes(self, p: LaurentPoly) -> bool:
         return not self.eval_poly(p)
-
-    def coordinates_distinct(self) -> bool:
-        l1 = LaurentPoly.var(0)
-        l2 = LaurentPoly.var(1)
-        l3 = LaurentPoly.var(2)
-        return not (
-            self.vanishes(l1 - l2) or self.vanishes(l1 - l3) or self.vanishes(l2 - l3)
-        )

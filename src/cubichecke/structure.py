@@ -26,13 +26,10 @@ from .catalog import (
     catalog_regular,
     delta_scalar,
     exceptional_catalog,
-    exceptional_spec,
     ideal_catalog,
-    is_exceptional,
     label3,
-    module_dim,
-    module_k3_content,
-    module_weights,
+    module_spec,
+    parametrize,
     spec_for,
     vanishing_for_k3,
     vanishing_for_module,
@@ -251,18 +248,18 @@ def _factor_weights(mats: dict, idx: list[int], lams) -> dict:
     return out
 
 
-def _identify_factor(parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: dict) -> ModuleLabel:
+def _identify(pool, parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: dict) -> ModuleLabel:
+    """The label of the one spec in the pool that is valid mod p and has the
+    factor's dimension and weights and, mod p, the parent's central scalar."""
     target_delta = p.param.apply_ratfunc(delta_scalar(parent))
-    matches = []
-    for label in _candidate_pool():
-        if module_dim(label) != dim:
-            continue
-        if module_weights(label) != weights:
-            continue
-        if not _valid_on(p.param, label):
-            continue
-        if p.param.apply_ratfunc(delta_scalar(label)) == target_delta:
-            matches.append(label)
+    matches = [
+        spec.label
+        for spec in pool
+        if spec.dim == dim
+        and spec.weight_multiset() == weights
+        and _valid_on(p.param, spec)
+        and p.param.apply_ratfunc(spec.delta_sq) == target_delta
+    ]
     if len(matches) == 1:
         return matches[0]
     if not matches:
@@ -278,9 +275,7 @@ def _identify_factor(parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: 
 
 @lru_cache(maxsize=None)
 def _candidate_pool() -> tuple:
-    pool = [spec.label for spec in catalog_regular(4)]
-    pool.extend(spec.label for spec in exceptional_catalog())
-    return tuple(pool)
+    return catalog_regular(4) + exceptional_catalog()
 
 
 def composition_series(
@@ -310,7 +305,7 @@ def composition_series(
     factors = []
     for comp in invariant_chain([mats[i] for i in sorted(mats)]):
         weights = _factor_weights(mats, comp, lams)
-        label = _identify_factor(g4, p, len(comp), weights)
+        label = _identify(_candidate_pool(), g4, p, len(comp), weights)
         factors.append(CompositionFactor(label, len(comp), tuple(comp), weights))
     return CompositionSeries(
         g4, p, orientation, tuple(factors), "assembly",
@@ -400,7 +395,7 @@ def _match_chain(order, series) -> tuple | None:
         return None
     alt = 0
     for k, lbl in enumerate(order):
-        alt += (1 if k % 2 == 0 else -1) * module_dim(lbl)
+        alt += (1 if k % 2 == 0 else -1) * spec_for(lbl).dim
     if alt != 0:
         return None
     return tuple(chain)
@@ -449,10 +444,8 @@ def census_single(p: PrimeIdealSpec) -> Census:
 
 def _census_entries(labels) -> tuple:
     """Census entries of the labels, largest dimension first, then by name."""
-    return tuple(
-        CensusEntry(lbl, module_dim(lbl), module_weights(lbl), delta_scalar(lbl))
-        for lbl in sorted(labels, key=lambda l: (-module_dim(l), l.name))
-    )
+    specs = sorted(map(module_spec, labels), key=lambda s: (-s.dim, s.label.name))
+    return tuple(CensusEntry(s.label, s.dim, s.weight_multiset(), s.delta_sq) for s in specs)
 
 
 # -- two-ideal loci ----------------------------------------------------------------------------
@@ -484,10 +477,10 @@ def compose_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Branch]:
     shifted, _ = residual.shift_nonnegative()
     branches = []
     witnesses = []
-    free = [v for v in base.free_vars()]
+    free = base.free_vars()
     for factor, kind in _factor_residual(shifted, free):
         if kind == "linear":
-            sub = _linear_substitution(factor, free)
+            (sub,) = parametrize(factor).subs
             try:
                 spec = base.compose_sub(sub, (p2.generator,))
             except ValueError:
@@ -574,19 +567,6 @@ def _factor_residual(poly: LaurentPoly, free) -> list:
     return uniq
 
 
-def _linear_substitution(factor: LaurentPoly, free) -> Substitution:
-    """factor = l_x - u l_y (x < y): eliminate the higher variable l_y."""
-    x, y = free
-    items = dict(factor.terms)
-    ex = tuple(1 if k == x else 0 for k in range(3))
-    ey = tuple(1 if k == y else 0 for k in range(3))
-    cx = items[ex]
-    cy = items[ey]
-    # l_y := -(cx/cy) l_x
-    coeff = -(cx / cy)
-    return Substitution(y, coeff, ex)
-
-
 def _quad_locus(base: Specialization, factor: LaurentPoly, free):
     """Build the quadratic-extension locus for factor = l_x^2 - w l_y^2."""
     x, y = free
@@ -632,10 +612,8 @@ def _delta_congruent(locus, r1: RatFunc, r2: RatFunc) -> bool:
     return locus.vanishes(diff)
 
 
-def _valid_on(locus, label: ModuleLabel) -> bool:
-    if not is_exceptional(label):
-        return True
-    return locus.vanishes(exceptional_spec(label).defining)
+def _valid_on(locus, spec) -> bool:
+    return spec.defining is None or locus.vanishes(spec.defining)
 
 
 def _regular_dead(locus, label: ModuleLabel):
@@ -644,44 +622,41 @@ def _regular_dead(locus, label: ModuleLabel):
     ]
 
 
-def _simple_on(locus, label: ModuleLabel) -> bool:
-    if not is_exceptional(label):
-        return not _regular_dead(locus, label)
-    if not _valid_on(locus, label):
-        return False
-    return _finest_cover(locus, label) is None
+def _simple_on(locus, spec) -> bool:
+    if spec.defining is None:
+        return not _regular_dead(locus, spec.label)
+    return _valid_on(locus, spec) and _finest_cover(locus, spec) is None
 
 
-def _k3_content_mod(locus, label: ModuleLabel):
+def _k3_content_mod(locus, spec):
     return tuple(
         sorted(
-            sum((list(k3_factors_mod(locus, g3)) for g3 in module_k3_content(label)), []),
+            sum((list(k3_factors_mod(locus, g3)) for g3 in spec.restriction), []),
             key=lambda l: l.name,
         )
     )
 
 
-def _finest_cover(locus, label: ModuleLabel):
-    """The unique partition of the label's weights into smaller valid simple
-    candidates with matching central scalar and K3 content, or None."""
-    weights = module_weights(label)
-    delta = delta_scalar(label)
+def _finest_cover(locus, spec):
+    """The unique partition of the spec's weights into smaller valid simple
+    candidates with matching central scalar and K3 content, as labels, or None."""
+    weights = spec.weight_multiset()
     candidates = []
     for cand in _candidate_pool():
-        if module_dim(cand) >= module_dim(label):
+        if cand.dim >= spec.dim:
             continue
         if not _valid_on(locus, cand):
             continue
-        cw = module_weights(cand)
+        cw = cand.weight_multiset()
         if any(cw.get(k, 0) > weights.get(k, 0) for k in cw):
             continue
-        if not _delta_congruent(locus, delta_scalar(cand), delta):
+        if not _delta_congruent(locus, cand.delta_sq, spec.delta_sq):
             continue
         if not _simple_on(locus, cand):
             continue
         candidates.append(cand)
     solutions: list = []
-    target_k3 = _k3_content_mod(locus, label)
+    target_k3 = _k3_content_mod(locus, spec)
 
     def rec(remaining: dict, chosen: list):
         if len(solutions) > 1:
@@ -692,13 +667,13 @@ def _finest_cover(locus, label: ModuleLabel):
                 key=lambda l: l.name,
             )
             if k3 == list(target_k3):
-                sol = sorted(chosen, key=lambda l: l.name)
+                sol = sorted((c.label for c in chosen), key=lambda l: l.name)
                 if sol not in solutions:
                     solutions.append(sol)
             return
         pivot = min(k for k, v in remaining.items() if v)
-        for k, cand in enumerate(candidates):
-            cw = module_weights(cand)
+        for cand in candidates:
+            cw = cand.weight_multiset()
             if cw.get(pivot, 0) == 0:
                 continue
             if any(cw.get(w, 0) > remaining.get(w, 0) for w in cw):
@@ -715,24 +690,20 @@ def _finest_cover(locus, label: ModuleLabel):
         return None
     if len(solutions) > 1:
         raise UnidentifiedFactor(
-            "ambiguous decomposition of %s on the combined locus" % label
+            "ambiguous decomposition of %s on the combined locus" % spec.label
         )
     return tuple(solutions[0])
 
 
-_SINGLE_SERIES_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def single_ideal_factors(label: ModuleLabel, p: PrimeIdealSpec) -> tuple:
-    key = (label, p.name)
-    if key not in _SINGLE_SERIES_CACHE:
-        _SINGLE_SERIES_CACHE[key] = composition_series(label, p).factor_labels
-    return _SINGLE_SERIES_CACHE[key]
+    return composition_series(label, p).factor_labels
 
 
 def split_on_locus(locus, label: ModuleLabel) -> tuple:
     """Multiset of simple factor labels of a catalogued module on the locus."""
-    if not is_exceptional(label):
+    spec = module_spec(label)
+    if spec.defining is None:
         dead = _regular_dead(locus, label)
         if not dead:
             return (label,)
@@ -740,10 +711,10 @@ def split_on_locus(locus, label: ModuleLabel) -> tuple:
         for f in single_ideal_factors(label, dead[0]):
             out.extend(split_on_locus(locus, f))
         return tuple(sorted(out, key=lambda l: l.name))
-    if not _valid_on(locus, label):
+    if not _valid_on(locus, spec):
         raise UnidentifiedFactor("label %s is not defined on the locus" % label)
     # the cover is already sorted by name
-    return _finest_cover(locus, label) or (label,)
+    return _finest_cover(locus, spec) or (label,)
 
 
 def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:
@@ -811,21 +782,12 @@ def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
 
 def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:
     g = assemble_k3(g3, p.param)
-    target = p.param.apply_ratfunc(delta_scalar(g3))
     labels = []
-    for comp in invariant_chain([g.matrices[i] for i in sorted(g.matrices)]):
-        spectrum: dict = {}
+    for comp in invariant_chain(g.generators()):
+        # a level-3 weight (i, i) counts the paths along which sigma1 acts by l_i
+        weights: dict = {}
         for k in comp:
             i = g.basis[k].eigen_index
-            spectrum[i] = spectrum.get(i, 0) + 1
-        matches = [
-            s.label
-            for s in catalog_regular(3)
-            if s.dim == len(comp)
-            and {i: m for (i, _j, m) in s.weights} == spectrum
-            and p.param.apply_ratfunc(delta_scalar(s.label)) == target
-        ]
-        if len(matches) != 1:
-            raise UnidentifiedFactor("level-3 factor not identified in %s" % g3)
-        labels.append(matches[0])
+            weights[(i, i)] = weights.get((i, i), 0) + 1
+        labels.append(_identify(catalog_regular(3), g3, p, len(comp), weights))
     return tuple(labels)

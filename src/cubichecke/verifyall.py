@@ -35,8 +35,7 @@ from .catalog import (
     label2,
     label3,
     label4,
-    module_dim,
-    module_weights,
+    module_spec,
     perm_ideal,
     perm_label,
     perm_ratfunc,
@@ -375,9 +374,10 @@ def check_table3():
                     found = f
         if found is None:
             return _ok(False, "factor %s never appears mod %s" % (factor_name, ideal_name))
-        if module_dim(found) != dim or module_weights(found) != _mirrored(weights):
+        spec = module_spec(found)
+        if spec.dim != dim or spec.weight_multiset() != _mirrored(weights):
             return _ok(False, "wrong data for %s" % factor_name)
-        if not delta_scalar(found) == delta:
+        if not spec.delta_sq == delta:
             return _ok(False, "central scalar of %s differs from the table" % factor_name)
     return _ok(True, "all rows with dim, weights, central scalar")
 

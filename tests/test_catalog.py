@@ -15,7 +15,6 @@ from cubichecke.catalog import (
     label2,
     label3,
     label4,
-    module_weights,
     perm_ideal,
     perm_label,
     perm_poly,
@@ -164,7 +163,7 @@ def test_exceptional_catalog():
     assert dims == [2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5, 7, 7, 7, 7, 7, 7]
     for s in exc:
         assert sum(m for m in s.weight_multiset().values()) == s.dim
-        assert sum(sum(g3.exps) for g3 in s.k3_content) == s.dim
+        assert sum(sum(g3.exps) for g3 in s.restriction) == s.dim
 
 
 def _poly_text(p) -> str:
@@ -203,7 +202,7 @@ def _catalog_lines():
         lines.append("exceptional %s dim %d" % (_label_text(spec.label), spec.dim))
         lines.append("  delta %s" % _delta_text(spec.delta_sq))
         lines.append("  weights %r" % (spec.weights,))
-        lines.append("  k3 %s" % [_label_text(g) for g in spec.k3_content])
+        lines.append("  k3 %s" % [_label_text(g) for g in spec.restriction])
         lines.append("  defining %s" % _poly_text(spec.defining))
     return lines
 

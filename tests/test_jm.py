@@ -112,9 +112,7 @@ def test_x_collision_detection():
     b = block_spec(None, label3((1, 1, 1)), 2)
     ctx = ideal_by_name("l2+l3").param
     with pytest.raises(PathBasisUnavailable):
-        from cubichecke.builder import _ctx_block
-
-        _ctx_block(b, ctx).check_x_distinct()
+        b.check_x_distinct(ctx)
 
 
 def test_vanishing_order():

@@ -8,6 +8,7 @@ from cubichecke.errors import PoleOnLocus
 from cubichecke.laurent import LaurentPoly
 from cubichecke.ratfunc import RatFunc
 from cubichecke.specialize import QuadExt, QuadLocus, Specialization, Substitution
+from cubichecke.structure import _distinct_witness
 
 L1 = LaurentPoly.var(0)
 L2 = LaurentPoly.var(1)
@@ -103,4 +104,4 @@ def test_quad_locus_evaluation():
     assert locus.vanishes(gen2)
     assert locus.vanishes(sq)
     assert not locus.vanishes(L2 + L3)
-    assert locus.coordinates_distinct()
+    assert _distinct_witness(locus) is None
