@@ -129,6 +129,17 @@ class Cyclotomic:
             )
         return _raw(n, 1) if d == 1 else _canon(n, d)
 
+    @staticmethod
+    def from_power_sums(c, d: int) -> "Cyclotomic":
+        """The canonical form of (c0 + c1*z + ... + c6*z^6) / d for ints ci and d != 0.
+
+        A sum of products of numerator tuples, left unreduced, has these seven
+        power sums; the reduction is the one :meth:`__mul__` applies to each product.
+        """
+        c0, c1, c2, c3, c4, c5, c6 = c
+        # z^4 = z^2 - 1,  z^5 = z^3 - z,  z^6 = -1
+        return _canon((c0 - c4 - c6, c1 - c5, c2 + c4, c3 + c5), d)
+
     def inverse(self) -> "Cyclotomic":
         a0, a1, a2, a3 = self.n
         if not (a1 or a2 or a3):

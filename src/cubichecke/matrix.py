@@ -10,8 +10,9 @@ Faddeev-LeVerrier recursion for anything larger.
 from __future__ import annotations
 
 from itertools import permutations as _perms
+from math import lcm
 
-from .cyclotomic import Cyclotomic, ONE
+from .cyclotomic import Cyclotomic, ONE, ZERO
 from .ratfunc import RatFunc, rat_sum
 
 
@@ -336,33 +337,63 @@ def eval_matrix(m: Matrix, values) -> list[list[Cyclotomic]]:
 
 
 def num_mat_mul(a, b):
-    n, m, p = len(a), len(b[0]), len(b)
+    """The exact product of two Cyclotomic matrices, computed without fractions.
+
+    Each operand is cleared once: D*a = N0 + N1*z + N2*z^2 + N3*z^3 with D the
+    lcm of its denominators and Nk integer matrices.  The z^e coefficient of the
+    product is the sum of the integer products Nk*Ml with k + l = e, over the
+    nonzero entries only, and each entry becomes one canonical Cyclotomic over
+    Da*Db at the end.
+    """
+    da, ca = _cleared(a)
+    db, cb = _cleared(b)
+    rows, cols = len(a), len(b[0])
+    sums = [None] * 7
+    for k, ak in enumerate(ca):
+        for l, bl in enumerate(cb):
+            if ak is None or bl is None:
+                continue
+            s = sums[k + l]
+            if s is None:
+                s = sums[k + l] = [[0] * cols for _ in range(rows)]
+            for arow, srow in zip(ak, s):
+                for t, x in arow:
+                    for j, y in bl[t]:
+                        srow[j] += x * y
+    d = da * db
+    zero = [0] * cols
     return [
-        [sum_cyc(a[i][k] * b[k][j] for k in range(p)) for j in range(m)]
-        for i in range(n)
+        [Cyclotomic.from_power_sums(c, d) for c in zip(*[s[i] if s else zero for s in sums])]
+        for i in range(rows)
     ]
 
 
-def sum_cyc(items):
-    total = Cyclotomic()
-    for x in items:
-        total = total + x
-    return total
-
-
-def num_mat_sub_scalar(a, s: Cyclotomic):
-    out = [row[:] for row in a]
-    for i in range(len(a)):
-        out[i][i] = out[i][i] - s
-    return out
+def _cleared(a):
+    """(D, parts) for a Cyclotomic matrix: D is the lcm of the entry denominators,
+    and parts[k] lists, row by row, the (column, int) pairs of the nonzero z^k
+    coefficients of D*a, or is None when D*a has no z^k term."""
+    d = lcm(*(x.d for row in a for x in row))
+    parts = [[[] for _ in a] for _ in range(4)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x.is_zero():
+                continue
+            f = d // x.d
+            for part, c in zip(parts, x.n):
+                if c:
+                    part[i].append((j, c * f))
+    return d, [p if any(p) else None for p in parts]
 
 
 def num_eigenprojection(a, mu: Cyclotomic, others: list[Cyclotomic]):
-    """Normalized eigenprojection of an exactly-evaluated matrix."""
+    """Normalized eigenprojection of an exactly-evaluated matrix: the product of
+    the factors a - nu*I over ``others``, divided once by the product of mu - nu."""
     n = len(a)
-    proj = [[ONE if i == j else Cyclotomic() for j in range(n)] for i in range(n)]
+    proj = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    denom = ONE
     for nu in others:
-        proj = num_mat_mul(proj, num_mat_sub_scalar(a, nu))
-        inv = (mu - nu).inverse()
-        proj = [[x * inv for x in row] for row in proj]
-    return proj
+        factor = [[x - nu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        proj = num_mat_mul(proj, factor)
+        denom = denom * (mu - nu)
+    inv = denom.inverse()
+    return [[x * inv for x in row] for row in proj]

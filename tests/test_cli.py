@@ -189,6 +189,8 @@ REPORT_DIGESTS = [
      "db63f25d01ffa41e19a523eda572826bbb99c04df7c2e5a448ba5e8d1b225d19"),
     (("structure", "census", "--ideal", "l2^3-l1^2*l3", "--ideal", "l3^3-l1^2*l2"), 0,
      "963f89eccb2348d53f6f28b9908d4f8a4e5805448b355dfe2df9c537ed73578b"),
+    (("verify-all", "--level", "fast"), 0,
+     "758127152f23304091b50ff734efb9f47b0b58e90a1d6ef1e24c58337151bf5e"),
 ]
 
 

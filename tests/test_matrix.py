@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 import random
 
+import pytest
+
 from cubichecke.cyclotomic import Cyclotomic
-from cubichecke.matrix import Matrix, components, eval_matrix, num_eigenprojection
+from cubichecke.matrix import Matrix, components, eval_matrix, num_eigenprojection, num_mat_mul
 from cubichecke.ratfunc import RatFunc
 
 L1 = RatFunc.var(0)
@@ -133,9 +136,6 @@ def test_eval_and_numeric_projection():
 def test_evaluation_commutes_with_product():
     import random
 
-    from cubichecke.cyclotomic import ONE as C_ONE
-    from cubichecke.matrix import num_mat_mul
-
     rng = random.Random(17)
 
     def rand_entry():
@@ -160,6 +160,62 @@ def test_evaluation_commutes_with_product():
     lhs = eval_matrix(a * b, pt)
     rhs = num_mat_mul(eval_matrix(a, pt), eval_matrix(b, pt))
     assert lhs == rhs
+
+
+def _random_cyclotomic(rng):
+    """Zero, a rational, an element of Q(z^2) or a general element of Q(zeta12),
+    with denominators up to 12."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Cyclotomic()
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(4)]
+    if kind == 1:
+        coeffs[1:] = [0, 0, 0]
+    elif kind == 2:
+        coeffs[1] = coeffs[3] = 0
+    return Cyclotomic(*coeffs)
+
+
+def _random_cyc_matrix(rng, rows, cols, zero_rows=(), zero_cols=()):
+    return [
+        [Cyclotomic() if i in zero_rows or j in zero_cols else _random_cyclotomic(rng)
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _reference_mul(a, b):
+    """The schoolbook product, one Cyclotomic product and sum per term."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Cyclotomic()) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b, zeros_a, zeros_b",
+    [
+        ((4, 4), (4, 4), ((), ()), ((), ())),
+        ((5, 5), (5, 5), ((1, 3), (2,)), ((0,), (1, 4))),
+        ((3, 3), (3, 3), ((0, 1, 2), ()), ((), ())),
+        ((3, 3), (3, 3), ((), ()), ((), (0, 1, 2))),
+        ((2, 3), (3, 4), ((), ()), ((), ())),
+        ((2, 3), (3, 4), ((1,), ()), ((), (2,))),
+    ],
+    ids=["square", "zero-rows-cols", "zero-left", "zero-right", "rect", "rect-zeros"],
+)
+def test_num_mat_mul_matches_reference_fold(shape_a, shape_b, zeros_a, zeros_b):
+    rng = random.Random(repr((shape_a, shape_b, zeros_a, zeros_b)))
+    for _ in range(10):
+        a = _random_cyc_matrix(rng, *shape_a, *zeros_a)
+        b = _random_cyc_matrix(rng, *shape_b, *zeros_b)
+        got = num_mat_mul(a, b)
+        assert got == _reference_mul(a, b)
+        assert len(got) == shape_a[0] and all(len(row) == shape_b[1] for row in got)
+        for x in (x for row in got for x in row):
+            assert x.d > 0 and gcd(*x.n, x.d) == 1
+            if x.is_zero():
+                assert x.d == 1
 
 
 def test_cayley_hamilton_on_assembled_generators():

@@ -62,3 +62,23 @@ def test_fast_level_workers_match_serial():
     serial = run_level("fast", names=FAST_SUBSET)
     assert sorted(serial) == sorted(FAST_SUBSET)
     assert run_level("fast", names=FAST_SUBSET, workers=2) == serial
+
+
+def test_fast_assembly_names_a_broken_braid_relation(monkeypatch):
+    from cubichecke import verifyall
+    from cubichecke.builder import assemble, assemble_generic
+    from cubichecke.catalog import label4
+    from cubichecke.cyclotomic import Cyclotomic
+
+    label = label4((2, 1, 0))
+    s3_before = assemble_generic(label).matrices[3].copy()
+    tampered = assemble(label)  # a caller-owned copy of the cached module
+    s3 = tampered.matrices[3]
+    r, c = s3.first_nonzero()
+    s3.entries[r][c] = s3.entries[r][c].scale(Cyclotomic(2))
+    monkeypatch.setattr(verifyall, "assemble_generic", lambda lbl, gauge="row": tampered)
+
+    ok, detail = verifyall._check_fast_assembly(label)
+    assert not ok
+    assert "braid relation" in detail
+    assert assemble_generic(label).matrices[3] == s3_before
