@@ -58,7 +58,6 @@ class AB2BlockSpec:
 
 @dataclass(frozen=True)
 class ProjectionDiagonals:
-    mu: RatFunc
     d: tuple
 
     def total(self) -> RatFunc:
@@ -152,7 +151,7 @@ def ab2_diag(spec: AB2BlockSpec, mu: RatFunc) -> ProjectionDiagonals:
     n = spec.size
     spec.check_x_distinct()
     if n == 1:
-        return ProjectionDiagonals(mu, (RatFunc.one(),))
+        return ProjectionDiagonals((RatFunc.one(),))
     l1, l2 = _pair_for(spec.a_spectrum, mu)
     if n == 2:
         # two distinct eigenvalues: the quadratic-case formula
@@ -168,10 +167,10 @@ def ab2_diag(spec: AB2BlockSpec, mu: RatFunc) -> ProjectionDiagonals:
         denom = (xr - xs) * (mu - lam)
         d_r = -((mu * xs + lam * xr) / denom)
         d_s = (mu * xr + lam * xs) / denom
-        return ProjectionDiagonals(mu, (d_r.reduce(), d_s.reduce()))
+        return ProjectionDiagonals((d_r.reduce(), d_s.reduce()))
     _check_hypotheses(spec, mu, l1, l2)
     d = tuple(_d_entry(spec, mu, l1, l2, r).reduce() for r in range(n))
-    return ProjectionDiagonals(mu, d)
+    return ProjectionDiagonals(d)
 
 
 def _check_hypotheses(spec: AB2BlockSpec, mu: RatFunc, l1: RatFunc, l2: RatFunc):

@@ -6,9 +6,9 @@ whose kernel contains the originating ideal generators.  It realizes the
 quotient field of the coordinate ring modulo the ideal as a rational function
 field in the surviving variables.
 
-:class:`QuadLocus` covers the handful of double loci whose residue field
-needs a square root that Q(zeta12) does not contain; it only supports exact
-evaluation (vanishing tests), never matrix assembly.
+:class:`BinomialLocus` covers the double loci whose residue field needs a
+square root that Q(zeta12) does not contain: a prime binomial on a base
+specialization, supporting exact vanishing tests only, never matrix assembly.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, ONE
+from .cyclotomic import Cyclotomic
 from .errors import PoleOnLocus
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, divides
 from .ratfunc import RatFunc
 
 
@@ -159,82 +159,22 @@ class Specialization:
         return hash(self.subs)
 
 
-class QuadExt:
-    """a + b*u with u^2 = w, coefficients in Q(zeta12); enough for vanishing tests."""
+@dataclass(frozen=True)
+class BinomialLocus:
+    """One branch ``factor = 0`` of a base locus, where ``factor = l_x^2 - w*l_y^2``
+    in the two free variables of ``base`` is irreducible over Q(zeta12).
 
-    __slots__ = ("a", "b", "w")
-
-    def __init__(self, a: Cyclotomic, b: Cyclotomic, w: Cyclotomic):
-        self.a = a
-        self.b = b
-        self.w = w
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __add__(self, other: "QuadExt") -> "QuadExt":
-        return QuadExt(self.a + other.a, self.b + other.b, self.w)
-
-    def __mul__(self, other: "QuadExt") -> "QuadExt":
-        return QuadExt(
-            self.a * other.a + self.b * other.b * self.w,
-            self.a * other.b + self.b * other.a,
-            self.w,
-        )
-
-    def inverse(self) -> "QuadExt":
-        # (a + bu)(a - bu) = a^2 - b^2 w, nonzero as u is irrational over the base
-        norm = self.a * self.a - self.b * self.b * self.w
-        inv = norm.inverse()
-        return QuadExt(self.a * inv, -(self.b * inv), self.w)
-
-    def __pow__(self, n: int) -> "QuadExt":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadExt(ONE, Cyclotomic(), self.w)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and self.a == other.a and self.b == other.b and self.w == other.w
-
-    def __str__(self):
-        return "(%s)+(%s)*u" % (self.a, self.b)
-
-
-class QuadLocus:
-    """A one-parameter locus l_k = c_k * t^{e_k} with coefficients in Q(zeta12)[u]/(u^2-w).
-
-    Supports exact vanishing tests of Laurent polynomials on the locus; used
-    only by the double-locus census where the residue field leaves Q(zeta12).
+    Irreducibility means w is not a square in Q(zeta12), so the residue field
+    needs sqrt(w); the binomial is then prime, and Galois conjugation
+    sqrt(w) -> -sqrt(w) swaps its two root branches l_x = +-sqrt(w)*l_y.  A
+    polynomial therefore vanishes on one branch exactly when it vanishes on
+    both, that is when the binomial divides its image on the base locus.
+    Only vanishing tests are supported, never matrix assembly.
     """
 
-    def __init__(self, w: Cyclotomic, coeffs: tuple[QuadExt, QuadExt, QuadExt], exps: tuple[int, int, int]):
-        self.w = w
-        self.coeffs = coeffs
-        self.exps = exps
-
-    def eval_poly(self, p: LaurentPoly) -> dict[int, QuadExt]:
-        """Image of p as a Laurent polynomial in t over the quadratic extension."""
-        out: dict[int, QuadExt] = {}
-        for e, c in p.terms.items():
-            texp = sum(x * y for x, y in zip(e, self.exps))
-            val = QuadExt(c, Cyclotomic(), self.w)
-            for k, x in enumerate(e):
-                if x:
-                    val = val * (self.coeffs[k] ** x)
-            cur = out.get(texp)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                out.pop(texp, None)
-            else:
-                out[texp] = s
-        return out
+    base: Specialization
+    factor: LaurentPoly
 
     def vanishes(self, p: LaurentPoly) -> bool:
-        return not self.eval_poly(p)
+        img = self.base.apply_poly(p)
+        return img.is_zero() or divides(self.factor, img.shift_nonnegative()[0])

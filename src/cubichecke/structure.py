@@ -9,9 +9,9 @@ assembles in the row gauge, and an assembly failure propagates.
 
 The two-ideal census composes parametrizations branch by branch and
 decomposes iteratively, mirroring the uniqueness key of the catalogued simple
-modules; branches whose residue field needs a square root outside Q(zeta12)
-are handled by an exact quadratic-extension evaluator (vanishing tests only,
-never assembly).
+modules; a branch whose residue field needs a square root outside Q(zeta12)
+is its base locus plus one prime binomial, tested for vanishing by
+divisibility (never assembled).
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .catalog import (
     vanishing_for_k3,
     vanishing_for_module,
 )
-from .cyclotomic import Cyclotomic, ONE
+from .cyclotomic import ZETA
 from .errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from .laurent import LaurentPoly, exact_div
 from .matrix import Matrix, components
 from .ratfunc import RatFunc
-from .specialize import QuadExt, QuadLocus, Specialization, Substitution
+from .specialize import BinomialLocus, Specialization, Substitution
 
 
 # -- semisimplicity (Theorem A) --------------------------------------------------------
@@ -52,16 +52,19 @@ class SemisimplicityReport:
     semisimple: bool
 
 
-def _check_distinct(point):
+def _check_point(point):
+    """The eigenvalues of a point must be invertible and pairwise distinct."""
     for a in range(3):
+        if point[a].is_zero():
+            raise ValueError("zero eigenvalue l%d = 0" % (a + 1))
         for b in range(a + 1, 3):
             if point[a] == point[b]:
                 raise ValueError("repeated eigenvalues l%d = l%d" % (a + 1, b + 1))
 
 
 def classify_point(point) -> SemisimplicityReport:
-    """Exact Theorem-A test at a point with pairwise distinct eigenvalues."""
-    _check_distinct(point)
+    """Exact Theorem-A test at a point with nonzero pairwise distinct eigenvalues."""
+    _check_point(point)
     vanishing = tuple(
         spec
         for spec in ideal_catalog()
@@ -453,9 +456,7 @@ def _census_entries(labels) -> tuple:
 
 @dataclass
 class Branch:
-    kind: str                      # "monomial" | "quadratic"
-    locus: object                  # Specialization | QuadLocus
-    selector: LaurentPoly          # extra polynomial condition picking this branch
+    locus: object                  # Specialization | BinomialLocus
     description: str
 
 
@@ -478,121 +479,66 @@ def compose_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Branch]:
     branches = []
     witnesses = []
     free = base.free_vars()
-    for factor, kind in _factor_residual(shifted, free):
-        if kind == "linear":
+    for factor in _factor_residual(shifted, free):
+        if factor.degree(free[0]) == 1:
             (sub,) = parametrize(factor).subs
             try:
-                spec = base.compose_sub(sub, (p2.generator,))
+                locus = base.compose_sub(sub, (p2.generator,))
             except ValueError:
                 continue
-            witness = _distinct_witness(spec)
-            if witness is not None:
-                witnesses.append(witness)
-                continue
-            branches.append(
-                Branch("monomial", spec, factor, "%s, %s" % (spec, factor))
-            )
+            description = "%s, %s" % (locus, factor)
         else:
-            locus = _quad_locus(base, factor, free)
-            if locus is None:
-                continue
-            witness = _distinct_witness(locus)
-            if witness is not None:
-                witnesses.append(witness)
-                continue
-            branches.append(
-                Branch("quadratic", locus, factor, "quadratic branch %s" % factor)
-            )
+            locus = BinomialLocus(base, factor)
+            description = "quadratic branch %s" % factor
+        witness = _distinct_witness(locus)
+        if witness is not None:
+            witnesses.append(witness)
+            continue
+        branches.append(Branch(locus, description))
     if not branches:
         raise IncompatibleIdeals(sorted(set(witnesses)))
     return branches
 
 
-def _roots_of_unity():
-    from .cyclotomic import ZETA
-
-    out = []
-    z = ONE
-    for _ in range(12):
-        out.append(z)
-        z = z * ZETA
-    return out
+_UNITS = tuple(ZETA ** k for k in range(12))
 
 
 def _factor_residual(poly: LaurentPoly, free) -> list:
-    """Factor a two-variable residual into linear and quadratic binomial parts.
+    """The distinct factors l_x^k - u*l_y^k (k = 1, 2; u a 12th root of unity)
+    of a two-variable residual, which is a monomial times powers of them.
 
-    The residuals arising from composing catalog parametrizations are, after
-    stripping monomial content, products of factors x^k - c y^k with c a root
-    of unity; linear and quadratic pieces cover every case the catalog needs.
+    The residuals arising from composing catalog parametrizations split this
+    way.  Every linear factor is divided out before any quadratic one, so a
+    quadratic factor left has no root in Q(zeta12) and is prime.
     """
-    out = []
-    work = poly
     if len(free) == 1:
         # residual in one variable: only a monomial could remain; a nonzero
         # non-monomial one-variable residual has no locus points off the axes
-        if work.is_monomial():
+        if poly.is_monomial():
             return []
         raise CubicHeckeError("unsupported one-variable residual %s" % poly)
     x, y = free  # variable indices, x < y
-    units = _roots_of_unity()
+    out = []
+    work = poly
     for degree in (1, 2):
-        ex = [0, 0, 0]
-        ex[x] = degree
-        ey = [0, 0, 0]
-        ey[y] = degree
-        for u in units:
-            factor = LaurentPoly.monomial(tuple(ex)) - LaurentPoly.monomial(tuple(ey), u)
-            changed = True
-            while changed:
-                changed = False
+        if work.is_monomial():
+            break
+        ex = tuple(degree if k == x else 0 for k in range(3))
+        ey = tuple(degree if k == y else 0 for k in range(3))
+        for u in _UNITS:
+            factor = LaurentPoly.monomial(ex) - LaurentPoly.monomial(ey, u)
+            power = 0
+            while True:
                 try:
                     work = exact_div(work, factor)
                 except ValueError:
                     break
-                out.append((factor, "linear" if degree == 1 else "quadratic"))
-                changed = True
-        if work.is_monomial():
-            break
+                power += 1
+            if power:
+                out.append(factor)
     if not work.is_monomial():
         raise CubicHeckeError("residual %s does not split into catalog branches" % poly)
-    # deduplicate repeated factors; multiplicity does not change the locus
-    seen = []
-    uniq = []
-    for f, kind in out:
-        key = frozenset(f.terms.items())
-        if key not in seen:
-            seen.append(key)
-            uniq.append((f, kind))
-    return uniq
-
-
-def _quad_locus(base: Specialization, factor: LaurentPoly, free):
-    """Build the quadratic-extension locus for factor = l_x^2 - w l_y^2."""
-    x, y = free
-    items = dict(factor.terms)
-    ex = tuple(2 if k == x else 0 for k in range(3))
-    ey = tuple(2 if k == y else 0 for k in range(3))
-    w = -(items[ey] / items[ex])  # l_x^2 = w l_y^2
-    zero = Cyclotomic()
-    coeffs = [None, None, None]
-    exps = [0, 0, 0]
-    # parameter t = l_y; l_x = u t with u^2 = w
-    coeffs[y] = QuadExt(ONE, zero, w)
-    exps[y] = 1
-    coeffs[x] = QuadExt(zero, ONE, w)
-    exps[x] = 1
-    # eliminated variables from the base specialization, innermost last
-    for sub in reversed(base.subs):
-        acc = QuadExt(sub.coeff, zero, w)
-        deg = 0
-        for k, e in enumerate(sub.exps):
-            if e:
-                acc = acc * (coeffs[k] ** e)
-                deg += e * exps[k]
-        coeffs[sub.var] = acc
-        exps[sub.var] = deg
-    return QuadLocus(w, tuple(coeffs), tuple(exps))
+    return out
 
 
 def _distinct_witness(locus):
@@ -756,7 +702,7 @@ def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
     found: dict = {}
     sequences = []
     if point is not None:
-        _check_distinct(point)
+        _check_point(point)
         locus = Specialization(
             tuple(Substitution(k, c, (0, 0, 0)) for k, c in enumerate(point)), ()
         )

@@ -32,6 +32,12 @@ def test_classify_invalid(capsys):
     assert code == 2
 
 
+def test_classify_rejects_zero_eigenvalue(capsys):
+    code, out = run(capsys, "classify", "--lambda", "0,1,2")
+    assert code == 2
+    assert out == ""
+
+
 def test_classify_rejects_three_ideals(capsys):
     code, out = run(
         capsys, "classify",
@@ -189,6 +195,10 @@ REPORT_DIGESTS = [
      "db63f25d01ffa41e19a523eda572826bbb99c04df7c2e5a448ba5e8d1b225d19"),
     (("structure", "census", "--ideal", "l2^3-l1^2*l3", "--ideal", "l3^3-l1^2*l2"), 0,
      "963f89eccb2348d53f6f28b9908d4f8a4e5805448b355dfe2df9c537ed73578b"),
+    (("structure", "census", "--ideal", "l1+i*l2", "--ideal", "l3^2+l1*l2"), 0,
+     "5c892b65e10c0f358bc5f71790f976e7055e456a72d12c1182b8d77006d96473"),
+    (("classify", "--ideal", "l1+i*l2", "--ideal", "l3^2+l1*l2"), 10,
+     "8cb3ec2e3dff6d3adeb0d091f2f93db956ece89ae89901fd87a6704688fec416"),
     (("verify-all", "--level", "fast"), 0,
      "758127152f23304091b50ff734efb9f47b0b58e90a1d6ef1e24c58337151bf5e"),
 ]

@@ -1,7 +1,8 @@
 """Every library definition is used somewhere: no name in ``src/cubichecke``
 may have its own definition as its only whole-word occurrence across the
 library, the tests and the benchmark driver.  Every module-level import of a
-library module is used in that module."""
+library module is used in that module, and every dataclass field of the
+library is read as an attribute somewhere."""
 
 import ast
 import re
@@ -75,3 +76,50 @@ def test_no_unused_imports():
             "%s.%s" % (path.stem, name) for name in _imported_names(tree) if name not in loaded
         )
     assert not unused, "imported but never used: %s" % ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names loaded as ``x.name`` or through ``getattr(x, "name", ...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_no_unread_dataclass_fields():
+    read = set()
+    for d in SEARCHED:
+        for p in sorted((ROOT / d).rglob("*.py")):
+            read |= _read_attributes(ast.parse(p.read_text()))
+    unread = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            unread.extend(
+                "%s.%s.%s" % (path.stem, node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and item.target.id not in read
+            )
+    assert not unread, "dataclass fields never read: %s" % ", ".join(unread)

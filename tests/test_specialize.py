@@ -7,7 +7,7 @@ from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
 from cubichecke.errors import PoleOnLocus
 from cubichecke.laurent import LaurentPoly
 from cubichecke.ratfunc import RatFunc
-from cubichecke.specialize import QuadExt, QuadLocus, Specialization, Substitution
+from cubichecke.specialize import BinomialLocus, Specialization, Substitution
 from cubichecke.structure import _distinct_witness
 
 L1 = LaurentPoly.var(0)
@@ -87,15 +87,12 @@ def test_random_point_lies_on_locus():
         assert len({str(c) for c in pt}) == 3
 
 
-def test_quad_locus_evaluation():
-    # l1 = u t with u^2 = -i, l2 = i t, l3 = t  (a double locus needing zeta8)
+def test_binomial_locus_evaluation():
+    # l2 = i l3 and l1^2 = -i l3^2: a double locus needing zeta8
     i_unit = Cyclotomic(0, 0, 0, 1)
-    w = -i_unit
-    zero = Cyclotomic()
-    locus = QuadLocus(
-        w,
-        (QuadExt(zero, ONE, w), QuadExt(i_unit, zero, w), QuadExt(ONE, zero, w)),
-        (1, 1, 1),
+    base = Specialization((Substitution(1, i_unit, (0, 0, 1)),), ())
+    locus = BinomialLocus(
+        base, LaurentPoly.monomial((2, 0, 0)) + LaurentPoly.monomial((0, 0, 2), i_unit)
     )
     gen1 = LaurentPoly.monomial((0, 3, 0)) - LaurentPoly.monomial((2, 0, 1))
     gen2 = LaurentPoly.monomial((0, 0, 3)) - LaurentPoly.monomial((2, 1, 0))

@@ -43,6 +43,12 @@ def test_classify_rejects_repeated():
         classify_point((ONE, ONE, Cyclotomic(2)))
 
 
+def test_classify_rejects_zero_coordinate():
+    # the eigenvalues of the generators are invertible
+    with pytest.raises(ValueError, match="zero eigenvalue l1"):
+        classify_point((Cyclotomic(), ONE, Cyclotomic(2)))
+
+
 def test_classify_double_locus_point():
     # (1, -theta^2, theta): l1 + theta l2 = 0 and l2 + theta l3 = 0
     pt = (ONE, -theta_power(2), THETA)
