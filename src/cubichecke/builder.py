@@ -12,9 +12,9 @@ single unknown, followed by full verification of every defining relation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .catalog import (
     ModuleLabel,
@@ -29,15 +29,22 @@ from .ratfunc import RatFunc, valuation
 from .specialize import Specialization
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSet:
     label: ModuleLabel
     level: int
     basis: tuple                      # ordered Path list
-    matrices: dict                    # generator index -> Matrix
+    matrices: MappingProxyType        # generator index -> Matrix
     context: Specialization | None
     gauge: str
-    certificate: dict = field(default_factory=dict)
+    certificate: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        cert = dict(self.certificate)
+        if "solved" in cert:
+            cert["solved"] = MappingProxyType(dict(cert["solved"]))
+        object.__setattr__(self, "matrices", MappingProxyType(dict(self.matrices)))
+        object.__setattr__(self, "certificate", MappingProxyType(cert))
 
     @property
     def S1(self) -> Matrix:
@@ -71,12 +78,10 @@ class GeneratorSet:
 
 
 def _block_diag(n: int, placements) -> Matrix:
-    out = Matrix.zero(n, n)
-    for idx, block in placements:
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                out.entries[i][j] = block.entries[a][b]
-    return out
+    at = {(i, j): block.entries[a][b] for idx, block in placements
+          for a, i in enumerate(idx) for b, j in enumerate(idx)}
+    zero = RatFunc.zero()
+    return Matrix([[at.get((i, j), zero) for j in range(n)] for i in range(n)])
 
 
 def _groups(paths, attr: str) -> list[list[int]]:
@@ -139,7 +144,7 @@ def _conjugate_by_powers(m: Matrix, gen, k: list[int]) -> Matrix:
     return Matrix(entries)
 
 
-def _on_locus(mats: dict, ctx: Specialization) -> tuple[dict, list]:
+def _on_locus(mats, ctx: Specialization) -> tuple[dict, tuple]:
     """Rescale the path basis into the locus-adapted gauge, one ideal
     generator at a time, then map every entry onto the locus.
 
@@ -151,7 +156,7 @@ def _on_locus(mats: dict, ctx: Specialization) -> tuple[dict, list]:
         if any(k):
             mats = {i: _conjugate_by_powers(m, gen, k) for i, m in mats.items()}
         adaptation.append(tuple(k))
-    return {i: ctx.apply_matrix(m) for i, m in mats.items()}, adaptation
+    return {i: ctx.apply_matrix(m) for i, m in mats.items()}, tuple(adaptation)
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +164,8 @@ def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
     """Generic-field assembly: blocks in canonical gauge plus the solved
     diagonal rescaling enforcing the braid relation.
 
-    Returns the shared cache entry, one per label and gauge; callers must not
-    mutate it.  `assemble` hands out copies that callers own.
+    Returns the cache entry itself, one per label and gauge; it is read-only,
+    so every caller can share it.
     """
     if label.level != 4:
         raise ValueError("assemble expects a level-4 label")
@@ -191,33 +196,30 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
     collide inside a block, breaking the path basis) or PoleOnLocus (no
     adapted gauge exists there).
 
-    The returned set belongs to the caller and may be mutated: its matrices
-    dict, matrix rows and certificate are never shared with the cache.
+    The returned set is read-only and may be shared: with no specialization
+    it is the generic cache entry itself.
     """
     base = assemble_generic(label, gauge)
-    certificate = copy.deepcopy(base.certificate)
     if ctx is None:
-        mats = {i: m.copy() for i, m in base.matrices.items()}
-        return GeneratorSet(label, 4, base.basis, mats, None, gauge, certificate)
+        return base
     paths = base.basis
     for idx in _groups(paths, "g2"):
         block_spec(paths[idx[0]].g2, label, 3).check_x_distinct(ctx)
     mats, adaptation = _on_locus(base.matrices, ctx)
-    certificate["adapted_powers"] = adaptation
+    certificate = {**base.certificate, "adapted_powers": adaptation}
     return GeneratorSet(label, 4, paths, mats, ctx, gauge, certificate)
 
 
 def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> GeneratorSet:
     """Build the two generator matrices of a level-3 regular module.
 
-    The returned set belongs to the caller and may be mutated; S2 is never
-    the cached block itself.
+    The returned set is read-only; its S2 is the cached block itself.
     """
     if label.level != 3:
         raise ValueError("assemble_k3 expects a level-3 label")
     paths = block_spec(None, label, 2).paths
     s1 = Matrix.diagonal([RatFunc.var(t.eigen_index - 1) for t in paths])
-    mats = {1: s1, 2: _generic_block("s2", None, label, "row").copy()}
+    mats = {1: s1, 2: _generic_block("s2", None, label, "row")}
     if ctx is not None:
         mats = _on_locus(mats, ctx)[0]
     return GeneratorSet(label, 3, paths, mats, ctx, "row", {"pinned": len(paths)})
@@ -417,14 +419,14 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
 # -- verification ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     residual: tuple | None = None   # (i, j) of the first nonzero residual entry
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
     label: ModuleLabel
     checks: list
@@ -528,7 +530,7 @@ def weight_operator(g: GeneratorSet, i: int, j: int) -> Matrix:
     return scaled_projection(g.S1, i, lams) * scaled_projection(g.S3, j, lams)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightReport:
     label: ModuleLabel
     ranks: dict                    # (i, j) -> rank of B(i, j)

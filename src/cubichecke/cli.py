@@ -120,13 +120,17 @@ def cmd_rep(args) -> int:
         payload = _json.load(fh)
     result = payload["result"] if "result" in payload else payload
     label = parse_label(result["label"]["name"])
-    mats = {int(k): matrix_from_json(v) for k, v in result["matrices"].items()}
+    from .catalog import enumerate_paths
+
+    paths = enumerate_paths(label)
+    mats = result["matrices"]
+    if not (isinstance(mats, dict) and set(mats) == {"1", "2", "3"}):
+        raise ValueError('"matrices" must be an object with exactly the keys "1", "2" and "3"')
+    mats = {k: matrix_from_json(mats[str(k)], len(paths)) for k in (1, 2, 3)}
     from .builder import GeneratorSet
 
     ctx = parse_ideal(result["context"]).param if result["context"] != "generic" else None
-    from .catalog import enumerate_paths
-
-    g = GeneratorSet(label, 4, enumerate_paths(label), mats, ctx, result["gauge"])
+    g = GeneratorSet(label, 4, paths, mats, ctx, result["gauge"])
     report = verify(g)
     out = {
         "label": result["label"]["name"],

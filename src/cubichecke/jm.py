@@ -271,18 +271,18 @@ def ab2_matrix_closed_form(spec: AB2BlockSpec, mu: RatFunc) -> Matrix:
     l1, l2 = _pair_for(spec.a_spectrum, mu)
     delta = spec.delta
     m = ab2_matrix(spec, mu, "row")
-    entries = [row[:] for row in m.entries]
-    for r in range(n):
-        for t in range(n):
-            if r == t:
+
+    def entry(r, t):
+        if r == t:
+            return m.entries[r][r]
+        val = _b_value(spec, mu, l1, l2, r) / (spec.x[r] - spec.x[t])
+        for s in range(n):
+            if s in (r, t):
                 continue
-            val = _b_value(spec, mu, l1, l2, r) / (spec.x[r] - spec.x[t])
-            for s in range(n):
-                if s in (r, t):
-                    continue
-                val = val * (delta + l1 * l2 * spec.x[r] * spec.x[s]) / (
-                    delta * (spec.x[r] - spec.x[s])
-                )
-            entries[r][t] = val.reduce()
-    return Matrix(entries)
+            val = val * (delta + l1 * l2 * spec.x[r] * spec.x[s]) / (
+                delta * (spec.x[r] - spec.x[s])
+            )
+        return val.reduce()
+
+    return Matrix([[entry(r, t) for t in range(n)] for r in range(n)])
 

@@ -19,10 +19,11 @@ from .ratfunc import RatFunc, rat_sum
 class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: list[list[RatFunc]]):
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
+    def __init__(self, entries):
+        """Rows are stored as tuples, so a matrix is never written into."""
+        self.entries = tuple(map(tuple, entries))
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0]) if self.entries else 0
 
     # -- constructors -----------------------------------------------------
 
@@ -43,23 +44,21 @@ class Matrix:
         z = RatFunc.zero()
         return cls([[values[i] if i == j else z for j in range(n)] for i in range(n)])
 
-    def copy(self) -> "Matrix":
-        return Matrix([row[:] for row in self.entries])
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
     # -- algebra -----------------------------------------------------------
 
+    def _rows_with(self, other: "Matrix"):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return zip(self.entries, other.entries)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in self._rows_with(other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in self._rows_with(other)])
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in row] for row in self.entries])
@@ -87,14 +86,12 @@ class Matrix:
         return Matrix([[a * s for a in row] for row in self.entries])
 
     def transpose(self) -> "Matrix":
-        return Matrix([list(r) for r in zip(*self.entries)])
+        return Matrix(zip(*self.entries))
 
     def add_scalar(self, s: RatFunc) -> "Matrix":
         """self + s*I."""
-        out = self.copy()
-        for i in range(self.rows):
-            out.entries[i][i] = out.entries[i][i] + s
-        return out
+        rows = enumerate(self.entries)
+        return Matrix([[a + s if i == j else a for j, a in enumerate(r)] for i, r in rows])
 
     def trace(self) -> RatFunc:
         t = RatFunc.zero()
@@ -137,7 +134,7 @@ class Matrix:
     # -- rank ----------------------------------------------------------------
 
     def rank(self) -> int:
-        work = [row[:] for row in self.entries]
+        work = list(self.entries)
         m, n = self.rows, self.cols
         rank = 0
         row = 0
@@ -316,7 +313,7 @@ def _faddeev_leverrier(m: Matrix) -> list[RatFunc]:
     n = m.rows
     coeffs = [RatFunc.zero() for _ in range(n + 1)]
     coeffs[n] = RatFunc.one()
-    work = m.copy()
+    work = m
     for k in range(1, n + 1):
         t = work.trace().reduce()
         ck = t.scale(Cyclotomic.from_rational(-1) / Cyclotomic.from_rational(k)).reduce()

@@ -77,8 +77,13 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(data) -> Matrix:
-    return Matrix([[ratfunc_from_json(a) for a in row] for row in data["entries"]])
+def matrix_from_json(data, n: int) -> Matrix:
+    """Parse an n x n matrix; any other shape raises ValueError."""
+    rows = data.get("entries") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValueError('a matrix needs "entries": %d rows of %d entries each' % (n, n))
+    return Matrix([[ratfunc_from_json(a) for a in row] for row in rows])
 
 
 def label_to_json(label: ModuleLabel) -> dict:

@@ -45,7 +45,7 @@ from .specialize import BinomialLocus, Specialization, Substitution
 # -- semisimplicity (Theorem A) --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemisimplicityReport:
     input_desc: str
     vanishing: tuple          # PrimeIdealSpec entries whose generator vanishes
@@ -96,7 +96,7 @@ def classify_ideals(ideals) -> SemisimplicityReport:
 # -- blocks (Theorem B) -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockDecomposition:
     ideal: PrimeIdealSpec
     classes: tuple               # nontrivial linked classes, each ordered
@@ -168,7 +168,7 @@ def _linkage_refinement(labels, p: PrimeIdealSpec):
 # -- composition series ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompositionFactor:
     label: ModuleLabel
     dim: int
@@ -176,7 +176,7 @@ class CompositionFactor:
     weights: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompositionSeries:
     parent: ModuleLabel
     ideal: PrimeIdealSpec | None
@@ -342,7 +342,7 @@ def _unit_exps(k: int) -> tuple:
 # -- exact sequences ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactSequence:
     ideal: PrimeIdealSpec
     labels: tuple                  # ordered module labels
@@ -407,7 +407,7 @@ def _match_chain(order, series) -> tuple | None:
 # -- census (Theorems B and C) --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensusEntry:
     label: ModuleLabel
     dim: int
@@ -415,7 +415,7 @@ class CensusEntry:
     delta_sq: RatFunc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Census:
     context: str
     entries: tuple
@@ -454,7 +454,7 @@ def _census_entries(labels) -> tuple:
 # -- two-ideal loci ----------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     locus: object                  # Specialization | BinomialLocus
     description: str
@@ -684,7 +684,7 @@ def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:
 # -- the level-3 algebra ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class K3Report:
     context: str
     entries: tuple                # census of simple level-3 labels

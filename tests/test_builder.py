@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cubichecke.builder import (
@@ -97,32 +99,41 @@ def test_weight_flip_conjugation():
 
 def test_corrupted_module_fails_with_location():
     g = assemble(label4((2, 1, 0)))
-    bad = Matrix([row[:] for row in g.S2.entries])
-    bad.entries[0][1] = bad.entries[0][1] + RatFunc.one()
-    g.matrices[2] = bad
+    rows = [list(row) for row in g.S2.entries]
+    rows[0][1] = rows[0][1] + RatFunc.one()
+    g = dataclasses.replace(g, matrices={**g.matrices, 2: Matrix(rows)})
     rep = verify(g)
     assert not rep.all_passed
     failed = [c for c in rep.checks if not c.passed]
     assert failed and all(c.residual is not None for c in failed)
 
 
-def test_assembly_results_are_caller_owned():
-    # writes into a returned generator set must not reach the assembly caches
+@pytest.mark.parametrize("kind", ["generic", "locus", "level3"])
+def test_assembly_results_are_read_only(kind):
+    # assembled sets are shared with the caches, so every write must raise
     lab = label4((2, 1, 0))
-    g = assemble(lab)
-    g.S3.entries[0][0] = g.S3.entries[0][0] + RatFunc.one()
-    g.matrices[2] = g.S1
-    g.certificate["solved"]["x"] = "1"
-    fresh = assemble(lab)
-    assert "x" not in fresh.certificate["solved"]
-    assert verify(fresh).all_passed
-
-    k3 = label3((1, 1, 0))
-    h = assemble_k3(k3)
-    want = h.S2.copy()
-    h.S2.entries[0][1] = h.S2.entries[0][1] + RatFunc.one()
-    h.matrices[2] = h.S1
-    assert assemble_k3(k3).S2 == want
+    build = {
+        "generic": lambda: assemble(lab),
+        "locus": lambda: assemble(lab, ideal_by_name("l1+i*l2").param),
+        "level3": lambda: assemble_k3(label3((1, 1, 0))),
+    }[kind]
+    g = build()
+    with pytest.raises(TypeError):
+        g.S2.entries[0][0] = RatFunc.one()
+    with pytest.raises(TypeError):
+        g.S2.entries[0] = g.S1.entries[0]
+    with pytest.raises(TypeError):
+        g.matrices[2] = g.S1
+    with pytest.raises(TypeError):
+        g.certificate["pinned"] = 0
+    if "solved" in g.certificate:
+        with pytest.raises(TypeError):
+            g.certificate["solved"]["x"] = "1"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.matrices = {}
+    assert build().S2 == g.S2
+    assert assemble(lab) is assemble(lab)
+    assert verify(build()).all_passed
 
 
 def test_delta4_weight_charpoly_wrong_label():

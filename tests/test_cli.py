@@ -103,6 +103,39 @@ def test_rep_verify_rejects_malformed_entry(tmp_path, capsys, entry):
     assert captured.out == ""
 
 
+# one malformed matrix-level shape per rule: each edits the "result" of an
+# l1*l2 build file in place, and the error must name the matching word
+MALFORMED_MATRICES = [
+    ("matrices_not_object", lambda r: r.update(matrices=[1]), "keys"),
+    ("missing_generator", lambda r: r["matrices"].pop("3"), "keys"),
+    ("extra_generator", lambda r: r["matrices"].update({"4": r["matrices"]["3"]}), "keys"),
+    ("matrix_not_object", lambda r: r["matrices"].update({"2": 5}), "entries"),
+    ("entries_not_list", lambda r: r["matrices"]["2"].update(entries=5), "entries"),
+    ("entries_not_rows", lambda r: r["matrices"]["2"].update(entries=[1, 2, 3]), "entries"),
+    ("long_row", lambda r: (row := r["matrices"]["2"]["entries"][1]).append(row[0]), "entries"),
+    ("other_label", lambda r: r["label"].update(name="l1^2*l2"), "3 rows of 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt,word",
+    [(c, w) for _n, c, w in MALFORMED_MATRICES],
+    ids=[n for n, _c, _w in MALFORMED_MATRICES],
+)
+def test_rep_verify_rejects_malformed_matrices(tmp_path, capsys, corrupt, word):
+    out_file = tmp_path / "rep.json"
+    main(["rep", "build", "--module", "l1*l2", "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    corrupt(data["result"])
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    code = main(["rep", "verify", "--out", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert word in captured.err
+
+
 def test_structure_census_checksum(capsys):
     code, out = run(capsys, "structure", "census")
     assert code == 0

@@ -1,8 +1,9 @@
 """Every library definition is used somewhere: no name in ``src/cubichecke``
 may have its own definition as its only whole-word occurrence across the
 library, the tests and the benchmark driver.  Every module-level import of a
-library module is used in that module, and every dataclass field of the
-library is read as an attribute somewhere."""
+library module is used in that module, every dataclass of the library is
+frozen, and every dataclass field of the library is read as an attribute
+somewhere."""
 
 import ast
 import re
@@ -85,6 +86,25 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if name == "dataclass":
             return True
     return False
+
+
+def _is_frozen(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(dec, ast.Call)
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in dec.keywords)
+        for dec in node.decorator_list
+    )
+
+
+def test_dataclasses_are_frozen():
+    thawed = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        thawed.extend(
+            "%s.%s" % (path.stem, node.name)
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and not _is_frozen(node)
+        )
+    assert not thawed, "dataclasses not frozen: %s" % ", ".join(thawed)
 
 
 def _read_attributes(tree: ast.Module) -> set[str]:

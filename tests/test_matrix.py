@@ -29,13 +29,12 @@ def test_charpoly_diagonal():
 
 
 def test_charpoly_block_structure():
-    m = Matrix.zero(4, 4)
-    m.entries[0][0] = L1
-    m.entries[0][1] = ONE
-    m.entries[1][0] = L2
-    m.entries[1][1] = L1
-    m.entries[2][2] = L3
-    m.entries[3][3] = L2
+    m = Matrix([
+        [L1, ONE, ZERO, ZERO],
+        [L2, L1, ZERO, ZERO],
+        [ZERO, ZERO, L3, ZERO],
+        [ZERO, ZERO, ZERO, L2],
+    ])
     cp = m.charpoly()
     # det(xI - M) evaluated at x = l3 vanishes
     total = ZERO
@@ -87,6 +86,25 @@ def test_cayley_hamilton_exact():
         total = total + power.scale(c)
         power = power * m
     assert total.is_zero()
+
+
+def test_rows_are_read_only_and_add_scalar_builds_a_new_matrix():
+    m = Matrix([[L1, ONE], [ZERO, L2]])
+    with pytest.raises(TypeError):
+        m.entries[0][0] = L3
+    with pytest.raises(TypeError):
+        m.entries[0] = (L3, L3)
+    assert m.add_scalar(L3) == Matrix([[L1 + L3, ONE], [ZERO, L2 + L3]])
+    assert m == Matrix([[L1, ONE], [ZERO, L2]])
+
+
+@pytest.mark.parametrize("other", [Matrix.identity(3), Matrix.zero(2, 3), Matrix.zero(3, 2)])
+def test_add_and_sub_reject_a_shape_mismatch(other):
+    m = Matrix.identity(2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m + other
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m - other
 
 
 def test_eigenprojection_diag():

@@ -78,7 +78,7 @@ def test_ratfunc_roundtrip_canonical():
 def test_matrix_roundtrip():
     m = Matrix.diagonal([RatFunc.var(0), RatFunc.var(2)])
     data = matrix_to_json(m)
-    assert matrix_from_json(data) == m
+    assert matrix_from_json(data, 2) == m
 
 
 def test_canonical_dumps_deterministic():

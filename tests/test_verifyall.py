@@ -65,17 +65,21 @@ def test_fast_level_workers_match_serial():
 
 
 def test_fast_assembly_names_a_broken_braid_relation(monkeypatch):
+    import dataclasses
+
     from cubichecke import verifyall
     from cubichecke.builder import assemble, assemble_generic
     from cubichecke.catalog import label4
     from cubichecke.cyclotomic import Cyclotomic
+    from cubichecke.matrix import Matrix
 
     label = label4((2, 1, 0))
-    s3_before = assemble_generic(label).matrices[3].copy()
-    tampered = assemble(label)  # a caller-owned copy of the cached module
-    s3 = tampered.matrices[3]
-    r, c = s3.first_nonzero()
-    s3.entries[r][c] = s3.entries[r][c].scale(Cyclotomic(2))
+    s3_before = assemble_generic(label).matrices[3]
+    g = assemble(label)
+    rows = [list(row) for row in g.S3.entries]
+    r, c = g.S3.first_nonzero()
+    rows[r][c] = rows[r][c].scale(Cyclotomic(2))
+    tampered = dataclasses.replace(g, matrices={**g.matrices, 3: Matrix(rows)})
     monkeypatch.setattr(verifyall, "assemble_generic", lambda lbl, gauge="row": tampered)
 
     ok, detail = verifyall._check_fast_assembly(label)
