@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 
 from .catalog import (
@@ -32,7 +33,6 @@ from .specialize import Specialization
 @dataclass(frozen=True)
 class GeneratorSet:
     label: ModuleLabel
-    level: int
     basis: tuple                      # ordered Path list
     matrices: MappingProxyType        # generator index -> Matrix
     context: Specialization | None
@@ -70,7 +70,7 @@ class GeneratorSet:
 
     def delta_matrix(self) -> Matrix:
         """The half twist as the fixed word S1 S2 S3 S1 S2 S1 (level 4)."""
-        if self.level == 4:
+        if self.label.level == 4:
             s1, s2, s3 = self.S1, self.S2, self.S3
             return s1 * s2 * s3 * s1 * s2 * s1
         s1, s2 = self.S1, self.S2
@@ -183,7 +183,7 @@ def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
     s3 = _block_diag(n, s3_placements)
     s3_final, certificate = _solve_gauge(paths, s2, s3)
     certificate["gauge"] = gauge
-    return GeneratorSet(label, 4, paths, {1: s1, 2: s2, 3: s3_final}, None, gauge, certificate)
+    return GeneratorSet(label, paths, {1: s1, 2: s2, 3: s3_final}, None, gauge, certificate)
 
 
 def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str = "row") -> GeneratorSet:
@@ -207,7 +207,7 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
         block_spec(paths[idx[0]].g2, label, 3).check_x_distinct(ctx)
     mats, adaptation = _on_locus(base.matrices, ctx)
     certificate = {**base.certificate, "adapted_powers": adaptation}
-    return GeneratorSet(label, 4, paths, mats, ctx, gauge, certificate)
+    return GeneratorSet(label, paths, mats, ctx, gauge, certificate)
 
 
 def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> GeneratorSet:
@@ -222,7 +222,7 @@ def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> Genera
     mats = {1: s1, 2: _generic_block("s2", None, label, "row")}
     if ctx is not None:
         mats = _on_locus(mats, ctx)[0]
-    return GeneratorSet(label, 3, paths, mats, ctx, "row", {"pinned": len(paths)})
+    return GeneratorSet(label, paths, mats, ctx, "row", {"pinned": len(paths)})
 
 
 # -- gauge solving ------------------------------------------------------------------
@@ -230,7 +230,11 @@ def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> Genera
 # Unknowns: one scalar per path; S3 is conjugated by diag(X).  A spanning
 # forest of the bipartite graph (level-3 groups | level-2 groups, one edge per
 # path) is pinned to X = 1, leaving one unknown per independent cycle (at most
-# three for the nine-dimensional modules).
+# three for the nine-dimensional modules).  The braid residual
+# S2 S3' S2 - S3' S2 S3' is never formed as a matrix: the solver asks for one
+# entry at a time, as a Laurent polynomial in the unsolved scalars with the
+# solved ones already multiplied into its coefficients, and reads a scalar off
+# every entry that has shrunk to a binomial in a single unknown.
 
 
 def _gauge_unknowns(paths) -> tuple[dict, int]:
@@ -253,144 +257,84 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
     if n_unknown == 0:
         return s3, {"pinned": pinned, "solved": {}}
     n = len(paths)
-    zerovec = (0,) * n_unknown
-
-    def xvec(k):
-        u = assignment[k]
-        if u is None:
-            return zerovec
-        e = [0] * n_unknown
-        e[u] = 1
-        return tuple(e)
-
-    def vsub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    # gauge-polynomial matrices: entry = dict exponent-vector -> RatFunc
-    def lift(m: Matrix, conjugate: bool):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                a = m.entries[i][j]
-                if a.is_zero():
-                    row.append({})
-                else:
-                    e = vsub(xvec(i), xvec(j)) if conjugate else zerovec
-                    row.append({e: a})
-            out.append(row)
-        return out
-
-    def gmul(A, B):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: dict = {}
-                for k in range(n):
-                    a = A[i][k]
-                    if not a:
-                        continue
-                    b = B[k][j]
-                    if not b:
-                        continue
-                    for ea, ca in a.items():
-                        for eb, cb in b.items():
-                            e = tuple(x + y for x, y in zip(ea, eb))
-                            cur = acc.get(e)
-                            v = ca * cb
-                            if cur is None:
-                                acc[e] = v
-                            else:
-                                s = cur + v
-                                if s.is_zero():
-                                    del acc[e]
-                                else:
-                                    acc[e] = s
-                row.append(acc)
-            out.append(row)
-        return out
-
-    S2g = lift(s2, conjugate=False)
-    S3g = lift(s3, conjugate=True)
-    M = gmul(gmul(S2g, S3g), S2g)
-    N = gmul(gmul(S3g, S2g), S3g)
-
-    equations = []
-    for i in range(n):
-        for j in range(n):
-            eq: dict = dict(M[i][j])
-            for e, c in N[i][j].items():
-                cur = eq.get(e)
-                if cur is None:
-                    eq[e] = -c
-                else:
-                    s = cur - c
-                    if s.is_zero():
-                        del eq[e]
-                    else:
-                        eq[e] = s
-            if eq:
-                equations.append(eq)
-
     solution: dict[int, RatFunc] = {}
 
-    def substitute(eq: dict) -> dict:
-        out: dict = {}
-        for e, c in eq.items():
-            ne = list(e)
-            coeff = c
-            for u, val in solution.items():
-                if ne[u]:
-                    coeff = coeff * (val ** ne[u])
-                    ne[u] = 0
-            ne = tuple(ne)
-            cur = out.get(ne)
+    def nonzero(m: Matrix):
+        return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in m.entries]
+
+    rows2, rows3 = nonzero(s2), nonzero(s3)
+
+    def scaled(a: RatFunc, *factors) -> tuple[RatFunc, tuple]:
+        """a * prod X_p / X_q over the (p, q) factors: the solved scalars go
+        into the coefficient, the exponents of the unsolved ones are returned."""
+        e = [0] * n_unknown
+        for p, q in factors:
+            for k, d in ((p, 1), (q, -1)):
+                if assignment[k] is not None:
+                    e[assignment[k]] += d
+        for u, d in enumerate(e):
+            if d and u in solution:
+                a = a * (solution[u] ** d)
+                e[u] = 0
+        return a, tuple(e)
+
+    def residual(i: int, j: int) -> dict:
+        """Entry (i, j) of S2 S3' S2 - S3' S2 S3': exponent vector -> RatFunc."""
+        acc: dict = {}
+
+        def add(coeff, e):
+            cur = acc.get(e)
             if cur is None:
-                out[ne] = coeff
+                acc[e] = coeff
             else:
                 s = cur + coeff
                 if s.is_zero():
-                    del out[ne]
+                    del acc[e]
                 else:
-                    out[ne] = s
-        return out
+                    acc[e] = s
 
-    remaining = set(range(n_unknown))
+        for k, a in rows2[i]:
+            for l, b in rows3[k]:
+                c = s2.entries[l][j]
+                if not c.is_zero():
+                    add(*scaled(a * b * c, (k, l)))
+        for k, a in rows3[i]:
+            for l, b in rows2[k]:
+                c = s3.entries[l][j]
+                if not c.is_zero():
+                    add(*scaled(-(a * b * c), (i, k), (l, j)))
+        return acc
+
     free_pins = 0
-    while remaining:
+    while len(solution) < n_unknown:
         progress = False
-        for eq in equations:
-            eq2 = substitute(eq)
-            if len(eq2) != 2:
+        for i, j in product(range(n), repeat=2):
+            if len(solution) == n_unknown:
+                break
+            eq = residual(i, j)
+            if len(eq) != 2:
                 continue
-            (e1, c1), (e2, c2) = eq2.items()
-            diff = vsub(e1, e2)
+            (e1, c1), (e2, c2) = eq.items()
+            diff = [x - y for x, y in zip(e1, e2)]
             live = [u for u, d in enumerate(diff) if d]
-            if len(live) != 1 or abs(diff[live[0]]) != 1 or live[0] not in remaining:
+            if len(live) != 1 or abs(diff[live[0]]) != 1:
                 continue
             u = live[0]
             # c1 * g^e1 + c2 * g^e2 = 0  =>  g_u^(+-1) = -c2/c1
             val = -(c2 / c1)
             if diff[u] == -1:
                 val = val.inv()
-            if val.is_zero():
-                continue
             solution[u] = val.reduce()
-            remaining.discard(u)
             progress = True
         if not progress:
             # no residual entry pins the remaining scalars: genuinely free
             # parameters on this locus; pin them to 1 and let the full
-            # residual verification below decide
-            for u in sorted(remaining):
-                solution[u] = RatFunc.one()
-                free_pins += 1
-            remaining.clear()
-    if free_pins:
-        for eq in equations:
-            eq2 = substitute(eq)
-            if any(not c.is_zero() for c in eq2.values()):
+            # residual decide
+            for u in range(n_unknown):
+                if u not in solution:
+                    solution[u] = RatFunc.one()
+                    free_pins += 1
+            if any(residual(i, j) for i, j in product(range(n), repeat=2)):
                 raise GaugeInconsistent(
                     "braid residual nonzero after pinning %d free scalar(s)" % free_pins
                 )
@@ -401,10 +345,7 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
         for j in range(n):
             a = s3.entries[i][j]
             if not a.is_zero():
-                e = vsub(xvec(i), xvec(j))
-                for u, d in enumerate(e):
-                    if d:
-                        a = a * (solution[u] ** d)
+                a = scaled(a, (i, j))[0]
             row.append(a)
         entries.append(row)
     s3_final = Matrix(entries)
@@ -479,14 +420,14 @@ def verify(g: GeneratorSet) -> VerifyReport:
     scalar = delta_scalar(g.label)
     if g.context is not None:
         scalar = g.context.apply_ratfunc(scalar)
-    if g.level == 4 and braid_ok:
+    if g.label.level == 4 and braid_ok:
         checks.append(_scalar_check_via_jm(g, scalar))
     else:
         delta = g.delta_matrix()
         checks.append(
             _check_zero("delta_sq_scalar", delta * delta - Matrix.identity(n).scale(scalar))
         )
-    if g.level == 4:
+    if g.label.level == 4:
         delta = g.delta_matrix()
         for a in (1, 2, 3):
             checks.append(

@@ -16,6 +16,7 @@ identical inputs); ``--format markdown`` renders the table view instead.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -92,8 +93,33 @@ def cmd_classify(args) -> int:
     return EXIT_OK if report.semisimple else EXIT_NOT_SEMISIMPLE
 
 
+def _read_build_file(path) -> dict:
+    """The "result" object of a build file, with its "label", "context" and
+    "gauge" shapes checked; a file that cannot be read is invalid input."""
+    if path is None:
+        raise ParseError("rep verify needs --out <build file>")
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read build file %s: %s" % (path, exc.strerror)) from exc
+    result = payload.get("result", payload) if isinstance(payload, dict) else payload
+    if not isinstance(result, dict):
+        raise ValueError('a build file must be an object or hold one under "result"')
+    label = result["label"]
+    if not (isinstance(label, dict) and isinstance(label["name"], str)):
+        raise ValueError('"label" must be an object whose "name" is a string')
+    if not isinstance(result["context"], str):
+        raise ValueError('"context" must be a string')
+    if result["gauge"] not in ("row", "column"):
+        raise ValueError('"gauge" must be "row" or "column"')
+    return result
+
+
 def cmd_rep(args) -> int:
     if args.action == "build":
+        if args.module is None:
+            raise ParseError("rep build needs --module")
         label = parse_label(args.module)
         ctx = parse_ideal(args.ideal).param if args.ideal else None
         g = assemble(label, ctx, args.gauge)
@@ -114,11 +140,7 @@ def cmd_rep(args) -> int:
         _emit(args, envelope(["rep", "build", args.module, args.ideal or "", args.gauge], result))
         return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
     # verify: re-read a build file and re-check all relations
-    import json as _json
-
-    with open(args.out) as fh:
-        payload = _json.load(fh)
-    result = payload["result"] if "result" in payload else payload
+    result = _read_build_file(args.out)
     label = parse_label(result["label"]["name"])
     from .catalog import enumerate_paths
 
@@ -130,7 +152,7 @@ def cmd_rep(args) -> int:
     from .builder import GeneratorSet
 
     ctx = parse_ideal(result["context"]).param if result["context"] != "generic" else None
-    g = GeneratorSet(label, 4, paths, mats, ctx, result["gauge"])
+    g = GeneratorSet(label, paths, mats, ctx, result["gauge"])
     report = verify(g)
     out = {
         "label": result["label"]["name"],

@@ -419,39 +419,6 @@ def _normalize_monic(f: LaurentPoly) -> LaurentPoly:
     return f.scale(c.inverse())
 
 
-def _gcd_univariate(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
-    """Monic Euclid over the coefficient field for one-variable polynomials."""
-
-    def to_list(p):
-        out = [ZERO] * (p.degree(var) + 1)
-        for e, c in p.terms.items():
-            out[e[var]] = c
-        return out
-
-    a, b = to_list(f), to_list(g)
-    while b:
-        if len(b) == 1:
-            a = [ONE]
-            break
-        inv = b[-1].inverse()
-        for k in range(len(a) - len(b), -1, -1):
-            c = a[k + len(b) - 1] * inv
-            if not c.is_zero():
-                for j, bj in enumerate(b):
-                    a[k + j] = a[k + j] - c * bj
-        while a and a[-1].is_zero():
-            a.pop()
-        a, b = b, a
-    exps = [0, 0, 0]
-    terms = {}
-    inv = a[-1].inverse()
-    for d, c in enumerate(a):
-        if not c.is_zero():
-            exps[var] = d
-            terms[tuple(exps)] = c * inv
-    return LaurentPoly(terms)
-
-
 def _content_in_var(f: LaurentPoly, var: int) -> LaurentPoly:
     coeffs = _coeffs_in_var(f, var)
     it = iter(sorted(coeffs))
@@ -520,8 +487,6 @@ def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     both = av_f & av_g
     if not both:
         return LaurentPoly.one()
-    if len(av_f) == 1 == len(av_g) and av_f == av_g:
-        return _gcd_univariate(f, g, next(iter(both)))
     var = min(both, key=lambda v: min(f.degree(v), g.degree(v)))
     if f.degree(var) == 0:
         return _gcd_core(f, _content_in_var(g, var))

@@ -44,9 +44,6 @@ class Matrix:
         z = RatFunc.zero()
         return cls([[values[i] if i == j else z for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     # -- algebra -----------------------------------------------------------
 
     def _rows_with(self, other: "Matrix"):
@@ -59,9 +56,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in self._rows_with(other)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -124,9 +118,6 @@ class Matrix:
 
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(a) for a in row] for row in self.entries])
-
-    def reduce(self) -> "Matrix":
-        return self.map(lambda a: a.reduce())
 
     def submatrix(self, idx: list[int]) -> "Matrix":
         return Matrix([[self.entries[i][j] for j in idx] for i in idx])

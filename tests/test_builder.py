@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 from cubichecke.builder import (
+    _solve_gauge,
     alpha_scalar,
     assemble,
     assemble_k3,
@@ -12,9 +14,19 @@ from cubichecke.builder import (
     weight_operator,
     weight_report,
 )
-from cubichecke.catalog import catalog_regular, ideal_by_name, label3, label4, spec_for
+from cubichecke.catalog import (
+    catalog_regular,
+    enumerate_paths,
+    ideal_by_name,
+    label3,
+    label4,
+    spec_for,
+)
+from cubichecke.cyclotomic import Cyclotomic
+from cubichecke.errors import GaugeInconsistent
 from cubichecke.matrix import Matrix
 from cubichecke.ratfunc import RatFunc
+from cubichecke.serialize import canonical_dumps, matrix_to_json
 
 L1 = RatFunc.var(0)
 L2 = RatFunc.var(1)
@@ -79,6 +91,38 @@ def test_gauge_certificate_reports_pins():
     g = assemble(label4((4, 2, 2)))
     assert g.certificate["pinned"] == 6
     assert set(g.certificate["solved"]) == {0, 1}
+
+
+def test_gauge_free_pins_and_inconsistency():
+    # with S2 = I the residual S3' - S3'^2 is one monomial per entry, so no
+    # entry pins the two cycle scalars of the 8-dim module: both are pinned to
+    # 1, which is consistent for S3 = I and not for S3 = 2I
+    paths = enumerate_paths(label4((4, 2, 2)))
+    one = Matrix.identity(len(paths))
+    s3, cert = _solve_gauge(paths, one, one)
+    assert s3 == one
+    assert cert["free_pinned"] == 2
+    with pytest.raises(GaugeInconsistent):
+        _solve_gauge(paths, one, one.scale(RatFunc.const(Cyclotomic(2))))
+
+
+# sha256 over the 24 level-4 labels in catalog order, row gauge then column
+# gauge: canonical JSON of S1, S2, S3 and the gauge certificate of each
+GENERIC_ASSEMBLY_DIGEST = "9c2f4771cda41106d1ea2e79af173b4c61a0bf6d5d878beb4f9f1dfd04324613"
+
+
+def test_generic_assemblies_pinned_by_digest():
+    lines = []
+    for gauge in ("row", "column"):
+        for spec in catalog_regular(4):
+            g = assemble(spec.label, gauge=gauge)
+            cert = {**g.certificate}
+            if "solved" in cert:
+                cert["solved"] = dict(cert["solved"])
+            mats = [matrix_to_json(m) for m in g.generators()]
+            lines.append(canonical_dumps([spec.label.name, gauge, mats, cert]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GENERIC_ASSEMBLY_DIGEST
 
 
 def test_weight_ranks_match_catalog():

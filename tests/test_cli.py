@@ -103,9 +103,13 @@ def test_rep_verify_rejects_malformed_entry(tmp_path, capsys, entry):
     assert captured.out == ""
 
 
-# one malformed matrix-level shape per rule: each edits the "result" of an
-# l1*l2 build file in place, and the error must name the matching word
+# one malformed shape per rule: each edits the "result" of an l1*l2 build
+# file in place, and the error must name the matching word
 MALFORMED_MATRICES = [
+    ("label_int", lambda r: r.update(label=5), "label"),
+    ("label_name_int", lambda r: r.update(label={"name": 5}), "label"),
+    ("context_int", lambda r: r.update(context=5), "context"),
+    ("gauge_int", lambda r: r.update(gauge=5), "gauge"),
     ("matrices_not_object", lambda r: r.update(matrices=[1]), "keys"),
     ("missing_generator", lambda r: r["matrices"].pop("3"), "keys"),
     ("extra_generator", lambda r: r["matrices"].update({"4": r["matrices"]["3"]}), "keys"),
@@ -134,6 +138,29 @@ def test_rep_verify_rejects_malformed_matrices(tmp_path, capsys, corrupt, word):
     assert code == 2
     assert captured.out == ""
     assert word in captured.err
+
+
+def test_rep_rejects_missing_or_unreadable_input(tmp_path, capsys):
+    out_file = tmp_path / "rep.json"
+    main(["rep", "build", "--module", "l1*l2", "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    top_list, result_list = tmp_path / "top_list.json", tmp_path / "result_list.json"
+    top_list.write_text(json.dumps([data]))
+    result_list.write_text(json.dumps({**data, "result": [data["result"]]}))
+    for argv, word in (
+        (["rep", "build"], "--module"),
+        (["rep", "verify"], "--out"),
+        (["rep", "verify", "--out", str(tmp_path)], str(tmp_path)),
+        (["rep", "verify", "--out", str(tmp_path / "absent.json")], "absent.json"),
+        (["rep", "verify", "--out", str(top_list)], "object"),
+        (["rep", "verify", "--out", str(result_list)], "object"),
+    ):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert word in captured.err
 
 
 def test_structure_census_checksum(capsys):

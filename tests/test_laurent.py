@@ -40,6 +40,11 @@ def test_gcd_examples():
     assert g == L1 + L2 * L3
     p = L1 + L2.scale(THETA)
     assert poly_gcd(p * (L1 * L2 - L3 * L3), p * (L2 + L3)) == p
+    # one-variable inputs take the same subresultant path
+    one = LaurentPoly.one()
+    assert poly_gcd(L1 * L1 - one, (L1 + one) * (L1 + one)) == L1 + one
+    assert poly_gcd(L1 * L1 * L1 - one, L1 * L1 + L1 + one) == L1 * L1 + L1 + one
+    assert poly_gcd(L1 * L1 + one, L1 + one) == one
 
 
 def test_gcd_of_monomials():
