@@ -130,7 +130,7 @@ def _adapted_scalars(mats: list[Matrix], gen) -> list[int]:
 
 
 def _conjugate_by_powers(m: Matrix, gen, k: list[int]) -> Matrix:
-    gpoly = RatFunc.from_poly(gen)
+    gpoly = RatFunc(gen)
     entries = []
     for r in range(m.rows):
         row = []

@@ -61,8 +61,11 @@ def _emit(args, payload):
     if getattr(args, "format", "json") == "markdown" and payload.get("markdown"):
         text = payload["markdown"]
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (args.out, exc.strerror)) from exc
     else:
         print(text)
 

@@ -8,6 +8,11 @@ list x, the scalar delta, and the spectrum of A -- the diagonal entries of the
 rank-1 eigenprojection of A, and then A itself up to diagonal conjugation, are
 given by closed formulas.  This module implements those formulas exactly.
 
+One formula serves every block size.  The "pair" of a multiplicity-1
+eigenvalue mu is the two eigenvalues left after one copy of mu; 1- and 2-blocks
+are the cases with pair (mu, mu) and (lambda, lambda), and each keeps its own
+consistency condition as a hypothesis (delta = x^2 mu^2, delta + mu*lambda*x_r*x_s = 0).
+
 Gauge convention: "row" writes the rank-1 projection as p[r][s] = d_r, which
 is the default; "column" (p[r][s] = d_s) builds the transpose-dual module.
 """
@@ -37,7 +42,6 @@ class AB2BlockSpec:
     delta: RatFunc
     a_spectrum: tuple             # ((eigenvalue, multiplicity), ...)
     rank1_eigenvalue: RatFunc     # designated multiplicity-1 eigenvalue
-    pair: tuple                   # the two remaining eigenvalues (may coincide)
     paths: tuple = ()             # provenance, when built from the catalog
 
     @property
@@ -56,26 +60,14 @@ class AB2BlockSpec:
                     )
 
 
-@dataclass(frozen=True)
-class ProjectionDiagonals:
-    d: tuple
-
-    def total(self) -> RatFunc:
-        out = RatFunc.zero()
-        for v in self.d:
-            out = out + v
-        return out
-
-
 def _lam(i: int) -> RatFunc:
     return RatFunc.var(i - 1)
 
 
-def _designate(spectrum) -> tuple:
+def _designate(spectrum) -> RatFunc:
     """Minimal-multiplicity eigenvalue, ties broken by eigenvalue index order."""
     low = min(m for (_e, m) in spectrum)
-    mu = next(ev for (ev, m) in spectrum if m == low)
-    return mu, _pair_for(spectrum, mu)
+    return next(ev for (ev, m) in spectrum if m == low)
 
 
 def block_spec(g2: ModuleLabel, g4: ModuleLabel, generator_index: int) -> AB2BlockSpec:
@@ -96,9 +88,8 @@ def block_spec(g2: ModuleLabel, g4: ModuleLabel, generator_index: int) -> AB2Blo
         x = tuple(RatFunc.monomial(tuple(2 if k == i - 1 else 0 for k in range(3))) for i in constituents)
         delta = delta_scalar(nu)
         spectrum = tuple((_lam(i), 1) for i in constituents)
-        mu, pair = _designate(spectrum)
         paths = tuple(Path(ModuleLabel(2, tuple(1 if k == i - 1 else 0 for k in range(3))), nu, nu) for i in constituents)
-        return AB2BlockSpec(x, delta, spectrum, mu, pair, paths)
+        return AB2BlockSpec(x, delta, spectrum, _designate(spectrum), paths)
     if generator_index != 3:
         raise ValueError("generator_index must be 2 or 3")
     paths = tuple(t for t in enumerate_paths(g4) if t.g2 == g2)
@@ -113,8 +104,7 @@ def block_spec(g2: ModuleLabel, g4: ModuleLabel, generator_index: int) -> AB2Blo
     )
     if all(m >= 2 for (_e, m) in spectrum):
         raise HypothesisViolated("no multiplicity-1 eigenvalue in block %s -> %s" % (g2, g4))
-    mu, pair = _designate(spectrum)
-    return AB2BlockSpec(x, delta, spectrum, mu, pair, paths)
+    return AB2BlockSpec(x, delta, spectrum, _designate(spectrum), paths)
 
 
 def _spectrum_mult(spec: AB2BlockSpec, mu: RatFunc) -> int:
@@ -144,37 +134,30 @@ def _pair_for(spectrum, mu: RatFunc) -> tuple:
     return (distinct[0], distinct[1])
 
 
-def ab2_diag(spec: AB2BlockSpec, mu: RatFunc) -> ProjectionDiagonals:
+def ab2_diag(spec: AB2BlockSpec, mu: RatFunc) -> tuple:
     """Diagonal entries of the rank-1 eigenprojection of A for eigenvalue mu."""
     if _spectrum_mult(spec, mu) != 1:
         raise HypothesisViolated("eigenvalue %s does not have multiplicity 1" % mu)
-    n = spec.size
     spec.check_x_distinct()
-    if n == 1:
-        return ProjectionDiagonals((RatFunc.one(),))
     l1, l2 = _pair_for(spec.a_spectrum, mu)
-    if n == 2:
-        # two distinct eigenvalues: the quadratic-case formula
-        lam = l1
-        xr, xs = spec.x
-        delta = spec.delta
-        if not (delta + mu * lam * xr * xs).is_zero():
-            raise HypothesisViolated(
-                "2-block with delta + mu*lambda*x_r*x_s != 0"
-            )
-        if (mu - lam).is_zero():
-            raise HypothesisViolated("coinciding A-eigenvalues in a 2-block")
-        denom = (xr - xs) * (mu - lam)
-        d_r = -((mu * xs + lam * xr) / denom)
-        d_s = (mu * xr + lam * xs) / denom
-        return ProjectionDiagonals((d_r.reduce(), d_s.reduce()))
     _check_hypotheses(spec, mu, l1, l2)
-    d = tuple(_d_entry(spec, mu, l1, l2, r).reduce() for r in range(n))
-    return ProjectionDiagonals(d)
+    if spec.size == 1:
+        # the general formula divides by (l1 - mu)(l2 - mu) = 0 here
+        return (RatFunc.one(),)
+    return tuple(_d_entry(spec, mu, l1, l2, r).reduce() for r in range(spec.size))
 
 
 def _check_hypotheses(spec: AB2BlockSpec, mu: RatFunc, l1: RatFunc, l2: RatFunc):
     delta = spec.delta
+    if spec.size == 1:
+        x = spec.x[0]
+        if not (delta - x * x * mu * mu).is_zero():
+            raise HypothesisViolated("1-block needs delta = x^2 lambda^2")
+        return
+    if spec.size == 2:
+        xr, xs = spec.x
+        if not (delta + mu * l1 * xr * xs).is_zero():
+            raise HypothesisViolated("2-block with delta + mu*lambda*x_r*x_s != 0")
     if ((l1 - mu) * (l2 - mu)).is_zero():
         raise HypothesisViolated("(lambda_1 - mu)(lambda_2 - mu) = 0")
     for r, xr in enumerate(spec.x):
@@ -222,39 +205,16 @@ def ab2_matrix(spec: AB2BlockSpec, mu: RatFunc, gauge: str = "row") -> Matrix:
     if gauge not in ("row", "column"):
         raise ValueError("gauge must be 'row' or 'column'")
     n = spec.size
-    if n == 1:
-        x = spec.x[0]
-        if not (spec.delta - x * x * mu * mu).is_zero():
-            raise HypothesisViolated("1-block needs delta = x^2 lambda^2")
-        return Matrix([[mu]])
-    diag = ab2_diag(spec, mu)
-    d = diag.d
+    d = ab2_diag(spec, mu)
     l1, l2 = _pair_for(spec.a_spectrum, mu)
-    if n == 2:
-        lam = l1
-        entries = []
-        for r in range(2):
-            row = []
-            for s in range(2):
-                if r == s:
-                    p = d[r]
-                else:
-                    p = d[r] if gauge == "row" else d[s]
-                a = (mu - lam) * p
-                if r == s:
-                    a = a + lam
-                row.append(a.reduce())
-            entries.append(row)
-        return Matrix(entries)
     delta = spec.delta
+    # 0 for a 1-block, whose entry 2*mu*delta/(delta + mu^2 x^2) is then mu
     factor = (l1 - mu) * (l2 - mu) / mu
     entries = []
     for r in range(n):
         row = []
         for s in range(n):
             p = d[r] if gauge == "row" else d[s]
-            if r == s:
-                p = d[r]
             val = factor * p
             if r == s:
                 val = val + l1 + l2

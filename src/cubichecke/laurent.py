@@ -253,15 +253,12 @@ class LaurentPoly:
     def eval_point(self, values) -> Cyclotomic:
         """Evaluate at a tuple of Cyclotomic values (nonzero where exponents are negative)."""
         total = ZERO
-        cache: dict[tuple, Cyclotomic] = {}
         for e, c in self.terms.items():
-            if e not in cache:
-                acc = ONE
-                for v, x in zip(values, e):
-                    if x:
-                        acc = acc * (v ** x)
-                cache[e] = acc
-            total = total + c * cache[e]
+            acc = ONE
+            for v, x in zip(values, e):
+                if x:
+                    acc = acc * (v ** x)
+            total = total + c * acc
         return total
 
     # -- rendering ------------------------------------------------------------------

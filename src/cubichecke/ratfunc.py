@@ -73,10 +73,6 @@ class RatFunc:
         return cls(LaurentPoly.var(index))
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
     def monomial(cls, exps, coeff: Cyclotomic = ONE) -> "RatFunc":
         return cls(LaurentPoly.monomial(exps, coeff))
 

@@ -511,12 +511,6 @@ def _factor_residual(poly: LaurentPoly, free) -> list:
     way.  Every linear factor is divided out before any quadratic one, so a
     quadratic factor left has no root in Q(zeta12) and is prime.
     """
-    if len(free) == 1:
-        # residual in one variable: only a monomial could remain; a nonzero
-        # non-monomial one-variable residual has no locus points off the axes
-        if poly.is_monomial():
-            return []
-        raise CubicHeckeError("unsupported one-variable residual %s" % poly)
     x, y = free  # variable indices, x < y
     out = []
     work = poly

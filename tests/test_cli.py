@@ -163,6 +163,15 @@ def test_rep_rejects_missing_or_unreadable_input(tmp_path, capsys):
         assert word in captured.err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--lambda", "2,3,5"], ["catalog"]])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot write %s" % tmp_path in captured.err
+
+
 def test_structure_census_checksum(capsys):
     code, out = run(capsys, "structure", "census")
     assert code == 0

@@ -1,6 +1,15 @@
+import hashlib
+
 import pytest
 
-from cubichecke.catalog import ideal_by_name, label2, label3, label4
+from cubichecke.catalog import (
+    catalog_regular,
+    enumerate_paths,
+    ideal_by_name,
+    label2,
+    label3,
+    label4,
+)
 from cubichecke.cyclotomic import theta_power
 from cubichecke.errors import HypothesisViolated, PathBasisUnavailable
 from cubichecke.jm import (
@@ -11,12 +20,16 @@ from cubichecke.jm import (
     block_spec,
 )
 from cubichecke.matrix import Matrix
-from cubichecke.ratfunc import RatFunc, valuation
+from cubichecke.ratfunc import RatFunc, rat_sum, valuation
+from cubichecke.serialize import canonical_dumps, matrix_to_json, ratfunc_to_json
 
 L1 = RatFunc.var(0)
 L2 = RatFunc.var(1)
 L3 = RatFunc.var(2)
 ONE = RatFunc.one()
+
+# sha256 of every catalog block's projection diagonals and both-gauge matrices
+CATALOG_BLOCK_DIGEST = "8bfb7f3d58b396884ffecb89c4c80c83a8f0302f74ba26538460bf520f4d7f02"
 
 
 def test_block_spec_6dim():
@@ -51,7 +64,7 @@ def test_block_spec_9dim_delta():
 def test_diag_sums_to_one_and_matrix_relations():
     b = block_spec(label2(1), label4((3, 2, 1)), 3)
     d = ab2_diag(b, L3)
-    assert d.total() == ONE
+    assert rat_sum(d) == ONE
     a = ab2_matrix(b, L3, "row")
     t = Matrix.diagonal(list(b.x))
     n = b.size
@@ -88,7 +101,7 @@ def test_projection_rank_one_identity():
     # p_rs p_sr = d_r d_s in either gauge
     for r in range(b.size):
         for s in range(b.size):
-            assert (d.d[r] * d.d[s] - d.d[r] * d.d[s]).is_zero()
+            assert (d[r] * d[s] - d[r] * d[s]).is_zero()
 
 
 def test_one_by_one_block():
@@ -97,9 +110,41 @@ def test_one_by_one_block():
     a = ab2_matrix(b, L1, "row")
     assert a.entries[0][0] == L1
     # delta = x^2 lambda^2 is required
-    bad = AB2BlockSpec(b.x, b.delta * L1, b.a_spectrum, b.rank1_eigenvalue, b.pair)
+    bad = AB2BlockSpec(b.x, b.delta * L1, b.a_spectrum, b.rank1_eigenvalue)
     with pytest.raises(HypothesisViolated):
         ab2_matrix(bad, L1, "row")
+
+
+def test_two_block_consistency_condition():
+    b = block_spec(label2(1), label4((2, 1, 0)), 3)
+    assert b.size == 2
+    bad = AB2BlockSpec(b.x, b.delta * L1, b.a_spectrum, b.rank1_eigenvalue)
+    with pytest.raises(HypothesisViolated, match="2-block"):
+        ab2_diag(bad, b.rank1_eigenvalue)
+    with pytest.raises(HypothesisViolated, match="2-block"):
+        ab2_matrix(bad, b.rank1_eigenvalue, "row")
+
+
+def test_catalog_blocks_pinned_by_digest():
+    specs = [block_spec(None, s.label, 2) for s in catalog_regular(3)]
+    for s4 in catalog_regular(4):
+        for g2 in sorted({t.g2 for t in enumerate_paths(s4.label)}):
+            specs.append(block_spec(g2, s4.label, 3))
+    assert sorted(s.size for s in specs) == [1] * 27 + [2] * 21 + [3] * 13 + [4] * 3
+    records = []
+    for spec in specs:
+        diags = [
+            [ratfunc_to_json(v) for v in ab2_diag(spec, mu)]
+            for mu, m in spec.a_spectrum
+            if m == 1
+        ]
+        mats = [
+            matrix_to_json(ab2_matrix(spec, spec.rank1_eigenvalue, gauge))
+            for gauge in ("row", "column")
+        ]
+        records.append([diags, mats])
+    digest = hashlib.sha256(canonical_dumps(records).encode()).hexdigest()
+    assert digest == CATALOG_BLOCK_DIGEST
 
 
 def test_multiplicity_requirement():
@@ -117,7 +162,7 @@ def test_x_collision_detection():
 
 def test_vanishing_order():
     p = ideal_by_name("l1+theta*l2")
-    gen = RatFunc.from_poly(p.generator)
+    gen = RatFunc(p.generator)
     f = gen * gen * L3
     assert valuation(f, p.generator) == 2
     assert valuation(L1 - L2, p.generator) == 0
