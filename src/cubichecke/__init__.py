@@ -9,37 +9,3 @@ generators.
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # lazy re-exports of the main entry points
-    from importlib import import_module
-
-    places = {
-        "Cyclotomic": "cyclotomic",
-        "LaurentPoly": "laurent",
-        "RatFunc": "ratfunc",
-        "Matrix": "matrix",
-        "Specialization": "specialize",
-        "ModuleLabel": "catalog",
-        "catalog_regular": "catalog",
-        "ideal_catalog": "catalog",
-        "ideal_by_name": "catalog",
-        "enumerate_paths": "catalog",
-        "block_spec": "jm",
-        "ab2_diag": "jm",
-        "ab2_matrix": "jm",
-        "assemble": "builder",
-        "verify": "builder",
-        "weight_report": "builder",
-        "classify_point": "structure",
-        "blocks": "structure",
-        "composition_series": "structure",
-        "exact_sequence": "structure",
-        "census_generic": "structure",
-        "census_single": "structure",
-        "census_pair": "structure",
-        "k3_structure": "structure",
-    }
-    if name in places:
-        return getattr(import_module("." + places[name], __name__), name)
-    raise AttributeError(name)

@@ -471,10 +471,28 @@ def weight_operator(g: GeneratorSet, i: int, j: int) -> Matrix:
     return scaled_projection(g.S1, i, lams) * scaled_projection(g.S3, j, lams)
 
 
+def path_weights(basis, s: Matrix, idx, lams) -> dict:
+    """Weight multiplicities {(i, j): m} of the paths ``idx``: m is the nullity
+    of S - l_j on the paths of ``idx`` along which sigma1 acts by l_i.
+
+    S (S3, or S1 at level 3) is block-diagonal on those groups of paths and
+    diagonalizable, as it satisfies the cubic relation with distinct roots, so
+    that nullity is the rank of B(i, j) = P_{1 i} P_{3 j} on the paths.
+    """
+    out = {}
+    for i in (1, 2, 3):
+        group = [k for k in idx if basis[k].eigen_index == i]
+        for j in (1, 2, 3):
+            m = len(group) - s.submatrix(group).add_scalar(-lams[j - 1]).rank()
+            if m > 0:
+                out[(i, j)] = m
+    return out
+
+
 @dataclass(frozen=True)
 class WeightReport:
     label: ModuleLabel
-    ranks: dict                    # (i, j) -> rank of B(i, j)
+    ranks: dict                    # (i, j) -> multiplicity of the weight
     d_scalars: dict                # 6-dim module only
     expected: dict
 
@@ -483,26 +501,19 @@ class WeightReport:
         return self.ranks == self.expected
 
 
-def weight_report(g: GeneratorSet, with_d: bool | None = None) -> WeightReport:
-    """Ranks of all weight operators, plus the d(i, j) scalars for the 6-dim module."""
+def weight_report(g: GeneratorSet) -> WeightReport:
+    """Multiplicities of all weights, plus the d(i, j) scalars for the 6-dim module."""
     if g.context is not None:
         raise ValueError("weight diagnostics are defined in the generic context")
-    spec = spec_for(g.label)
-    expected = spec.weight_multiset()
-    ranks = {}
-    ops = {}
-    for (i, j) in expected:
-        op = weight_operator(g, i, j)
-        ops[(i, j)] = op
-        ranks[(i, j)] = op.rank()
+    lams = g.eigenvalues()
+    ranks = path_weights(g.basis, g.S3, range(len(g.basis)), lams)
     d_scalars = {}
-    if with_d is None:
-        with_d = sorted(g.label.exps, reverse=True) == [3, 2, 1]
-    if with_d:
-        p23 = scaled_projection(g.S2, 3, g.eigenvalues())
-        for (i, j), op in ops.items():
+    if sorted(g.label.exps, reverse=True) == [3, 2, 1]:
+        p23 = scaled_projection(g.S2, 3, lams)
+        for (i, j) in ranks:
+            op = weight_operator(g, i, j)
             d_scalars[(i, j)] = extract_scalar(op * p23 * op, op)
-    return WeightReport(g.label, ranks, d_scalars, expected)
+    return WeightReport(g.label, ranks, d_scalars, spec_for(g.label).weight_multiset())
 
 
 def extract_scalar(lhs: Matrix, rhs: Matrix) -> RatFunc:

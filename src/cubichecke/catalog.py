@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .cyclotomic import Cyclotomic, I_UNIT, MINUS_ONE, ONE, THETA, THETA2
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, monomial_name
 from .ratfunc import RatFunc
 from .specialize import Specialization, Substitution
 
@@ -89,11 +89,7 @@ def _theta_suffix(theta: int) -> str:
 
 
 def _mono_name(exps) -> str:
-    names = ("l1", "l2", "l3")
-    parts = [
-        names[k] if e == 1 else "%s^%d" % (names[k], e) for k, e in enumerate(exps) if e
-    ]
-    return "*".join(parts) if parts else "1"
+    return monomial_name(exps) or "1"
 
 
 def _shape(exps):

@@ -119,12 +119,20 @@ def _read_build_file(path) -> dict:
     return result
 
 
+def _locus(ideal_text: str):
+    """The parametrized locus of an ideal argument; an li - lj ideal has none."""
+    param = parse_ideal(ideal_text).param
+    if param is None:
+        raise ValueError("the eigenvalues are assumed pairwise distinct")
+    return param
+
+
 def cmd_rep(args) -> int:
     if args.action == "build":
         if args.module is None:
             raise ParseError("rep build needs --module")
         label = parse_label(args.module)
-        ctx = parse_ideal(args.ideal).param if args.ideal else None
+        ctx = _locus(args.ideal) if args.ideal else None
         g = assemble(label, ctx, args.gauge)
         report = verify(g)
         result = {
@@ -154,7 +162,7 @@ def cmd_rep(args) -> int:
     mats = {k: matrix_from_json(mats[str(k)], len(paths)) for k in (1, 2, 3)}
     from .builder import GeneratorSet
 
-    ctx = parse_ideal(result["context"]).param if result["context"] != "generic" else None
+    ctx = _locus(result["context"]) if result["context"] != "generic" else None
     g = GeneratorSet(label, paths, mats, ctx, result["gauge"])
     report = verify(g)
     out = {

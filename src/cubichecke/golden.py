@@ -29,55 +29,63 @@ def _lam(i):
 # -- two-dimensional blocks (the four printed rows) -------------------------------------
 
 def two_block_rows():
-    """(block arguments, designated eigenvalue, expected d1, d2)."""
+    """(block arguments, {(i, 1): expected d_i}) at the designated eigenvalue l1."""
     return [
         # paths {1} -> {l1 l2} at level 3
         (
             (None, label3((1, 1, 0)), 2),
-            L1,
-            -(L1 * L2) / ((L1 - L2) ** 2),
-            (L1 * L1 - L1 * L2 + L2 * L2) / ((L1 - L2) ** 2),
+            {
+                (1, 1): -(L1 * L2) / ((L1 - L2) ** 2),
+                (2, 1): (L1 * L1 - L1 * L2 + L2 * L2) / ((L1 - L2) ** 2),
+            },
         ),
         # paths {l2} -> 6-dim
         (
             (label2(2), label4((3, 2, 1)), 3),
-            L1,
-            L2 * (L1 * L1 - L3 * L3) / ((L1 - L2) * (L3 * L3 + L1 * L2)),
-            L1 * (L3 * L3 - L2 * L2) / ((L1 - L2) * (L3 * L3 + L1 * L2)),
+            {
+                (1, 1): L2 * (L1 * L1 - L3 * L3) / ((L1 - L2) * (L3 * L3 + L1 * L2)),
+                (2, 1): L1 * (L3 * L3 - L2 * L2) / ((L1 - L2) * (L3 * L3 + L1 * L2)),
+            },
         ),
         # paths {l3} -> 8-dim
         (
             (label2(3), label4((4, 2, 2)), 3),
-            L1,
-            (L1 * L1 * L3 - L2 ** 3) / ((L1 - L2) * (L2 * L2 + L1 * L3)),
-            L1 * L2 * (L2 - L3) / ((L1 - L2) * (L2 * L2 + L1 * L3)),
+            {
+                (1, 1): (L1 * L1 * L3 - L2 ** 3) / ((L1 - L2) * (L2 * L2 + L1 * L3)),
+                (2, 1): L1 * L2 * (L2 - L3) / ((L1 - L2) * (L2 * L2 + L1 * L3)),
+            },
         ),
         # paths {l2} -> 8-dim; the frozen path order of the 8-dim module lists
         # its two-dimensional constituent before the three-dimensional one,
         # so the printed pair appears swapped here
         (
             (label2(2), label4((4, 2, 2)), 3),
-            L1,
-            L1 * L3 * (L3 - L2) / ((L1 - L3) * (L3 * L3 + L1 * L2)),
-            (L1 * L1 * L2 - L3 ** 3) / ((L1 - L3) * (L3 * L3 + L1 * L2)),
+            {
+                (1, 1): L1 * L3 * (L3 - L2) / ((L1 - L3) * (L3 * L3 + L1 * L2)),
+                (2, 1): (L1 * L1 * L2 - L3 ** 3) / ((L1 - L3) * (L3 * L3 + L1 * L2)),
+            },
         ),
     ]
 
 
 # -- the three-path examples -------------------------------------------------------------
 
-def three_block_k3_d(i: int, j: int) -> RatFunc:
-    """Entry d_i for the projection at eigenvalue l_j of the level-3 block."""
-    li, lj = _lam(i), _lam(j)
-    k = [x for x in (1, 2, 3) if x not in (i, j)]
-    if i == j:
-        (a, b) = [x for x in (1, 2, 3) if x != i]
-        la, lb = _lam(a), _lam(b)
-        return (la + lb) ** 2 * li * li / (((la - li) ** 2) * ((li - lb) ** 2))
-    lk = _lam(k[0])
-    return ((li * li + lj * lk) * (lj * lj + li * lk)) / (
-        ((li - lj) ** 2) * (li - lk) * (lk - lj)
-    )
+def three_block_k3_d() -> dict:
+    """The nine entries d_i of the projection at eigenvalue l_j of the level-3
+    block, keyed by (i, j)."""
+    d = {}
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            li, lj = _lam(i), _lam(j)
+            if i == j:
+                la, lb = [_lam(x) for x in (1, 2, 3) if x != i]
+                d[(i, j)] = (la + lb) ** 2 * li * li / (((la - li) ** 2) * ((li - lb) ** 2))
+            else:
+                (lk,) = [_lam(x) for x in (1, 2, 3) if x not in (i, j)]
+                d[(i, j)] = ((li * li + lj * lk) * (lj * lj + li * lk)) / (
+                    ((li - lj) ** 2) * (li - lk) * (lk - lj)
+                )
+    return d
 
 
 def six_dim_block_d() -> dict:
@@ -137,15 +145,15 @@ def nine_dim_block_d() -> dict:
 
 
 def eight_dim_block_d() -> dict:
-    """The four printed d_r(l3) of the paths {l1} -> 8-dim block."""
+    """The four printed d_r(l3) of the paths {l1} -> 8-dim block, keyed by (r, 3)."""
     return {
-        1: ((L1 * L1 * L2 - L3 ** 3) * (L1 ** 4 + L1 * L1 * L2 * L3 + L2 * L2 * L3 * L3) * (L1 - L2))
+        (1, 3): ((L1 * L1 * L2 - L3 ** 3) * (L1 ** 4 + L1 * L1 * L2 * L3 + L2 * L2 * L3 * L3) * (L1 - L2))
         / ((L1 - L3) * (L2 - L3) * (L1 * L1 + L2 * L3) * (L1 * L1 - L1 * L2 + L2 * L2) * (L1 * L1 - L1 * L3 + L3 * L3)),
-        2: -((L2 ** 3 - L1 * L1 * L3) * (L3 ** 3 - L1 * L1 * L2))
+        (2, 3): -((L2 ** 3 - L1 * L1 * L3) * (L3 ** 3 - L1 * L1 * L2))
         / ((L1 * L2 + L3 * L3) * (L1 - L3) * (L2 - L3) * (L1 * L1 - L1 * L2 + L2 * L2)),
-        3: -(L2 * L3 * (L1 + L3) ** 2 * (L2 ** 3 - L1 * L1 * L3))
+        (3, 3): -(L2 * L3 * (L1 + L3) ** 2 * (L2 ** 3 - L1 * L1 * L3))
         / ((L2 - L3) * (L1 * L1 + L2 * L3) * (L2 * L2 + L1 * L3) * (L3 * L3 + L1 * L2)),
-        4: -(L3 * L3 * (L1 + L2) ** 2 * (L1 - L2))
+        (4, 3): -(L3 * L3 * (L1 + L2) ** 2 * (L1 - L2))
         / ((L2 * L2 + L1 * L3) * (L1 * L1 - L1 * L3 + L3 * L3) * (L2 - L3)),
     }
 

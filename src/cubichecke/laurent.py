@@ -16,6 +16,14 @@ from .cyclotomic import Cyclotomic, ONE, ZERO
 _NAMES = ("l1", "l2", "l3")
 
 
+def monomial_name(exps) -> str:
+    """l1^a*l2^b*l3^c with exponent 1 left bare and exponent 0 left out; ""
+    for the constant monomial."""
+    return "*".join(
+        _NAMES[k] if e == 1 else "%s^%d" % (_NAMES[k], e) for k, e in enumerate(exps) if e
+    )
+
+
 class LaurentPoly:
     """A Laurent polynomial in l1, l2, l3 over Q(zeta12)."""
 
@@ -268,11 +276,7 @@ class LaurentPoly:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                ("%s" % _NAMES[k] if x == 1 else "%s^%d" % (_NAMES[k], x))
-                for k, x in enumerate(e)
-                if x
-            )
+            mono = monomial_name(e)
             cs = str(c)
             composite = ("+" in cs[1:]) or ("-" in cs[1:])
             if not mono:

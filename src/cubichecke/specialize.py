@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .errors import PoleOnLocus
-from .laurent import LaurentPoly, divides
+from .laurent import LaurentPoly, divides, monomial_name
 from .ratfunc import RatFunc
 
 
@@ -30,11 +30,7 @@ class Substitution:
 
     def __str__(self):
         names = ("l1", "l2", "l3")
-        mono = "*".join(
-            "%s^%d" % (names[k], e) if e != 1 else names[k]
-            for k, e in enumerate(self.exps)
-            if e
-        )
+        mono = monomial_name(self.exps)
         c = str(self.coeff)
         if not mono:
             return "%s := %s" % (names[self.var], c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .builder import assemble, assemble_k3, scaled_projection
+from .builder import assemble, assemble_k3, path_weights
 from .catalog import (
     ModuleLabel,
     PrimeIdealSpec,
@@ -233,24 +233,6 @@ def invariant_chain(mats: list[Matrix]) -> list[list[int]]:
     return chain
 
 
-def _factor_weights(mats: dict, idx: list[int], lams) -> dict:
-    s1 = mats[1].submatrix(idx)
-    s3 = mats[3].submatrix(idx)
-    p3s = {j: scaled_projection(s3, j, lams) for j in (1, 2, 3)}
-    out = {}
-    for i in (1, 2, 3):
-        p1 = scaled_projection(s1, i, lams)
-        if p1.is_zero():
-            continue
-        for j, p3 in p3s.items():
-            if p3.is_zero():
-                continue
-            r = (p1 * p3).rank()
-            if r:
-                out[(i, j)] = r
-    return out
-
-
 def _identify(pool, parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: dict) -> ModuleLabel:
     """The label of the one spec in the pool that is valid mod p and has the
     factor's dimension and weights and, mod p, the parent's central scalar."""
@@ -307,7 +289,7 @@ def composition_series(
     lams = g.eigenvalues()
     factors = []
     for comp in invariant_chain([mats[i] for i in sorted(mats)]):
-        weights = _factor_weights(mats, comp, lams)
+        weights = path_weights(g.basis, mats[3], comp, lams)
         label = _identify(_candidate_pool(), g4, p, len(comp), weights)
         factors.append(CompositionFactor(label, len(comp), tuple(comp), weights))
     return CompositionSeries(
@@ -435,6 +417,8 @@ def census_generic() -> Census:
 
 
 def census_single(p: PrimeIdealSpec) -> Census:
+    if p.family == "diff":
+        raise ValueError("the eigenvalues are assumed pairwise distinct")
     found: dict = {}
     for spec in catalog_regular(4):
         if p in vanishing_for_module(spec.label):
@@ -722,12 +706,10 @@ def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
 
 def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:
     g = assemble_k3(g3, p.param)
+    lams = g.eigenvalues()
     labels = []
     for comp in invariant_chain(g.generators()):
-        # a level-3 weight (i, i) counts the paths along which sigma1 acts by l_i
-        weights: dict = {}
-        for k in comp:
-            i = g.basis[k].eigen_index
-            weights[(i, i)] = weights.get((i, i), 0) + 1
+        # a level-3 weight (i, i) pairs sigma1 with itself
+        weights = path_weights(g.basis, g.S1, comp, lams)
         labels.append(_identify(catalog_regular(3), g3, p, len(comp), weights))
     return tuple(labels)

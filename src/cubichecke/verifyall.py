@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
+from functools import partial
 
 from . import golden
 from .builder import (
@@ -68,59 +69,46 @@ def _ok(cond, detail=""):
 # -- criterion 1-3: the projection formulas ------------------------------------------------
 
 
-def check_jm_two_blocks():
-    for args, mu, d1, d2 in golden.two_block_rows():
-        spec = block_spec(*args)
-        d = ab2_diag(spec, mu)
-        if not (d[0] == d1 and d[1] == d2):
-            return _ok(False, "2-block mismatch for %s" % (args,))
+def _block_d_mismatch(args, expected: dict):
+    """The first failure of the block ``block_spec(*args)`` against the
+    expected d_i at each l_j, keyed by (i, j), or None: at each j in ascending
+    order the trace identity sum_i d_i = 1, then the d_i in ascending order."""
+    spec = block_spec(*args)
+    for j in sorted({j for _i, j in expected}):
+        d = ab2_diag(spec, _L[j - 1])
         if not rat_sum(d) == RatFunc.one():
-            return _ok(False, "trace != 1 for %s" % (args,))
+            return "trace identity fails at l%d" % j
+        for i in sorted(i for i, jj in expected if jj == j):
+            if not d[i - 1] == expected[(i, j)]:
+                return "d_%d(l%d) mismatch" % (i, j)
+    return None
+
+
+def check_jm_two_blocks():
+    for args, expected in golden.two_block_rows():
+        if _block_d_mismatch(args, expected):
+            return _ok(False, "2-block mismatch for %s" % (args,))
     return _ok(True, "4 rows, 8 entries")
 
 
-def check_jm_k3_example():
-    spec = block_spec(None, label3((1, 1, 1)), 2)
-    for j in (1, 2, 3):
-        d = ab2_diag(spec, _L[j - 1])
-        for i in (1, 2, 3):
-            if not d[i - 1] == golden.three_block_k3_d(i, j):
-                return _ok(False, "d_%d(l%d) mismatch" % (i, j))
-    return _ok(True, "9 entries")
+# the printed three- and four-path examples: block arguments, expected d_i by
+# (i, j), pass detail; the numeric oracle draws its points in this order
+_EXAMPLE_BLOCKS = {
+    "jm_k3_example": ((None, label3((1, 1, 1)), 2), golden.three_block_k3_d, "9 entries"),
+    "jm_6dim_example": ((label2(1), label4((3, 2, 1)), 3), golden.six_dim_block_d, "9 entries"),
+    "jm_9dim_example": (
+        (label2(1), label4((3, 3, 3), 1), 3),
+        golden.nine_dim_block_d,
+        "9 entries (one printed sign corrected, pinned by trace)",
+    ),
+    "jm_8dim_example": ((label2(1), label4((4, 2, 2)), 3), golden.eight_dim_block_d, "4 entries"),
+}
 
 
-def check_jm_6dim_example():
-    spec = block_spec(label2(1), label4((3, 2, 1)), 3)
-    expected = golden.six_dim_block_d()
-    for j in (1, 2, 3):
-        d = ab2_diag(spec, _L[j - 1])
-        for i in (1, 2, 3):
-            if not d[i - 1] == expected[(i, j)]:
-                return _ok(False, "d_%d(l%d) mismatch" % (i, j))
-    return _ok(True, "9 entries")
-
-
-def check_jm_9dim_example():
-    spec = block_spec(label2(1), label4((3, 3, 3), 1), 3)
-    expected = golden.nine_dim_block_d()
-    for j in (1, 2, 3):
-        d = ab2_diag(spec, _L[j - 1])
-        if not rat_sum(d) == RatFunc.one():
-            return _ok(False, "trace identity fails at l%d" % j)
-        for i in (1, 2, 3):
-            if not d[i - 1] == expected[(i, j)]:
-                return _ok(False, "d_%d(l%d) mismatch" % (i, j))
-    return _ok(True, "9 entries (one printed sign corrected, pinned by trace)")
-
-
-def check_jm_8dim_example():
-    spec = block_spec(label2(1), label4((4, 2, 2)), 3)
-    d = ab2_diag(spec, _L[2])
-    expected = golden.eight_dim_block_d()
-    for r in (1, 2, 3, 4):
-        if not d[r - 1] == expected[r]:
-            return _ok(False, "d_%d(l3) mismatch" % r)
-    return _ok(True, "4 entries")
+def check_jm_example(args, expected, detail: str):
+    """One printed example block against ``expected()``, its golden d_i by (i, j)."""
+    bad = _block_d_mismatch(args, expected())
+    return _ok(not bad, bad or detail)
 
 
 def check_jm_8dim_remark():
@@ -200,47 +188,30 @@ def check_weights_6dim():
     return _ok(True, "4 printed values + symmetry + trace resolution")
 
 
-def check_alpha_8dim():
-    g = assemble(label4((4, 2, 2)))
-    a = alpha_scalar(g, (2, 1), (2, 3))
-    if not a == golden.alpha_8dim_expected():
-        return _ok(False, "alpha_{21,23} mismatch")
-    if not alpha_scalar(g, (2, 3), (2, 1)) == a:
+def check_alpha(label, ki: tuple, lj: tuple, expected, vanishing, symmetric: bool, detail: str):
+    """alpha_{ki,lj} of the generic module: its golden value ``expected()``,
+    the sandwich symmetry alpha_{lj,ki} = alpha_{ki,lj} when ``symmetric``,
+    equivariance under (23), and whether it vanishes mod each (ideal name,
+    want zero)."""
+    p23 = (0, 2, 1)
+
+    def name(*weights):
+        return "alpha_{%s}" % ",".join("%d%d" % w for w in weights)
+
+    g = assemble(label)
+    a = alpha_scalar(g, ki, lj)
+    if not a == expected():
+        return _ok(False, "%s mismatch" % name(ki, lj))
+    if symmetric and not alpha_scalar(g, lj, ki) == a:
         return _ok(False, "sandwich symmetry fails")
-    p23 = (0, 2, 1)
-    if not alpha_scalar(g, (3, 1), (3, 2)) == perm_ratfunc(p23, a):
-        return _ok(False, "equivariance alpha_{31,32} = (23) alpha_{21,23} fails")
-    for name, want_zero in (
-        ("l3^3-l1^2*l2", True),
-        ("l2^3-l1^2*l3", False),
-        ("l1^2-theta*l2*l3", False),
-    ):
-        p = ideal_by_name(name)
-        img = p.param.apply_ratfunc(a)
+    ki23, lj23 = (tuple(p23[k - 1] + 1 for k in w) for w in (ki, lj))
+    if not alpha_scalar(g, ki23, lj23) == perm_ratfunc(p23, a):
+        return _ok(False, "equivariance %s = (23) %s fails" % (name(ki23, lj23), name(ki, lj)))
+    for ideal_name, want_zero in vanishing:
+        img = ideal_by_name(ideal_name).param.apply_ratfunc(a)
         if img.is_zero() != want_zero:
-            return _ok(False, "vanishing mod %s should be %s" % (name, want_zero))
-    return _ok(True, "value, symmetry, equivariance, vanishing pattern")
-
-
-def check_alpha_9dim():
-    g = assemble(label4((3, 3, 3), 1))
-    a = alpha_scalar(g, (1, 1), (1, 2))
-    if not a == golden.alpha_9dim_expected():
-        return _ok(False, "alpha_{11,12} mismatch")
-    p23 = (0, 2, 1)
-    if not alpha_scalar(g, (1, 1), (1, 3)) == perm_ratfunc(p23, a):
-        return _ok(False, "equivariance alpha_{11,13} = (23) alpha_{11,12} fails")
-    for name, want_zero in (
-        ("l1+theta*l2", True),
-        ("l3^2-theta*l1*l2", True),
-        ("l1+theta*l3", False),
-        ("l3^2-theta^2*l1*l2", False),
-    ):
-        p = ideal_by_name(name)
-        img = p.param.apply_ratfunc(a)
-        if img.is_zero() != want_zero:
-            return _ok(False, "vanishing mod %s should be %s" % (name, want_zero))
-    return _ok(True, "value, equivariance, vanishing pattern matches Table 2")
+            return _ok(False, "vanishing mod %s should be %s" % (ideal_name, want_zero))
+    return _ok(True, detail)
 
 
 def check_charpoly_8dim():
@@ -281,12 +252,16 @@ def _random_generic_point(rng):
         return tuple(Cyclotomic.from_rational(v) for v in vals)
 
 
-def check_classifier(locus_points: int = 50, generic_points: int = 500):
+_LOCUS_POINTS = 50
+_GENERIC_POINTS = 500
+
+
+def check_classifier():
     rng = random.Random(20260808)
     for spec in ideal_catalog():
         if spec.family == "diff":
             continue
-        for _ in range(locus_points):
+        for _ in range(_LOCUS_POINTS):
             pt = spec.param.random_point(rng)
             report = classify_point(pt)
             names = [v.name for v in report.vanishing]
@@ -297,7 +272,7 @@ def check_classifier(locus_points: int = 50, generic_points: int = 500):
                     gen = ideal_by_name(other).generator
                     if not gen.eval_point(pt).is_zero():
                         return _ok(False, "false positive %s at %s" % (other, pt))
-    for _ in range(generic_points):
+    for _ in range(_GENERIC_POINTS):
         pt = _random_generic_point(rng)
         report = classify_point(pt)
         if not report.semisimple:
@@ -306,7 +281,11 @@ def check_classifier(locus_points: int = 50, generic_points: int = 500):
                 "false non-semisimple verdict at (%s): %s"
                 % (", ".join(map(str, pt)), [v.name for v in report.vanishing]),
             )
-    return _ok(True, "50 points per locus, 500 generic points, no misclassification")
+    return _ok(
+        True,
+        "%d points per locus, %d generic points, no misclassification"
+        % (_LOCUS_POINTS, _GENERIC_POINTS),
+    )
 
 
 # -- criterion 9: blocks, sequences, Table 3 ------------------------------------------------------
@@ -571,14 +550,12 @@ def check_equivariance():
     return _ok(True, "catalog, blocks, projection diagonals")
 
 
-def check_numeric_oracle(points: int = 100):
+_ORACLE_POINTS = 100
+
+
+def check_numeric_oracle():
     rng = random.Random(424242)
-    specs = [
-        block_spec(None, label3((1, 1, 1)), 2),
-        block_spec(label2(1), label4((3, 2, 1)), 3),
-        block_spec(label2(1), label4((3, 3, 3), 1), 3),
-        block_spec(label2(1), label4((4, 2, 2)), 3),
-    ]
+    specs = [block_spec(*args) for args, _expected, _detail in _EXAMPLE_BLOCKS.values()]
     count = 0
     for spec in specs:
         mus = [ev for ev, m in spec.a_spectrum if m == 1]
@@ -586,7 +563,7 @@ def check_numeric_oracle(points: int = 100):
             d = ab2_diag(spec, mu)
             a = ab2_matrix(spec, mu, "row")
             others = [ev for ev, _m in spec.a_spectrum if not ev == mu]
-            per_case = max(1, points // (len(specs) * 2))
+            per_case = max(1, _ORACLE_POINTS // (len(specs) * 2))
             for _ in range(per_case):
                 pt = _random_generic_point(rng)
                 try:
@@ -601,7 +578,7 @@ def check_numeric_oracle(points: int = 100):
                     if proj[r][r] != dnum[r]:
                         return _ok(False, "oracle mismatch at %s" % (pt,))
                 count += 1
-    return _ok(count >= points, "%d exact point comparisons" % count)
+    return _ok(count >= _ORACLE_POINTS, "%d exact point comparisons" % count)
 
 
 def _check_fast_assembly(label):
@@ -633,14 +610,24 @@ def _check_fast_assembly(label):
 
 FULL_CHECKS = {
     "jm_two_blocks": check_jm_two_blocks,
-    "jm_k3_example": check_jm_k3_example,
-    "jm_6dim_example": check_jm_6dim_example,
-    "jm_9dim_example": check_jm_9dim_example,
-    "jm_8dim_example": check_jm_8dim_example,
+    **{name: partial(check_jm_example, *case) for name, case in _EXAMPLE_BLOCKS.items()},
     "jm_8dim_remark": check_jm_8dim_remark,
     "weights_6dim": check_weights_6dim,
-    "alpha_8dim": check_alpha_8dim,
-    "alpha_9dim": check_alpha_9dim,
+    "alpha_8dim": partial(
+        check_alpha, label4((4, 2, 2)), (2, 1), (2, 3), golden.alpha_8dim_expected,
+        (("l3^3-l1^2*l2", True), ("l2^3-l1^2*l3", False), ("l1^2-theta*l2*l3", False)),
+        True, "value, symmetry, equivariance, vanishing pattern",
+    ),
+    "alpha_9dim": partial(
+        check_alpha, label4((3, 3, 3), 1), (1, 1), (1, 2), golden.alpha_9dim_expected,
+        (
+            ("l1+theta*l2", True),
+            ("l3^2-theta*l1*l2", True),
+            ("l1+theta*l3", False),
+            ("l3^2-theta^2*l1*l2", False),
+        ),
+        False, "value, equivariance, vanishing pattern matches Table 2",
+    ),
     "charpoly_8dim": check_charpoly_8dim,
     "census_generic": check_census_generic,
     "classifier": check_classifier,
@@ -655,17 +642,17 @@ FULL_CHECKS = {
     "transpose_duality": check_transpose_duality,
     "equivariance": check_equivariance,
     "numeric_oracle": check_numeric_oracle,
+    **{
+        "assembly_%s" % spec.label.name: partial(_check_assembly, spec.label)
+        for spec in catalog_regular(4)
+    },
 }
-for _spec in catalog_regular(4):
-    FULL_CHECKS["assembly_%s" % _spec.label.name] = (
-        lambda l: (lambda: _check_assembly(l))
-    )(_spec.label)
 
-FAST_CHECKS = {"census_generic": check_census_generic, "numeric_oracle": check_numeric_oracle}
-for _lbl in _BASE_LABELS:
-    FAST_CHECKS["fast_assembly_%s" % _lbl.name] = (
-        lambda l: (lambda: _check_fast_assembly(l))
-    )(_lbl)
+FAST_CHECKS = {
+    "census_generic": check_census_generic,
+    "numeric_oracle": check_numeric_oracle,
+    **{"fast_assembly_%s" % lbl.name: partial(_check_fast_assembly, lbl) for lbl in _BASE_LABELS},
+}
 
 
 def run_check(name: str):

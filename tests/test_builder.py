@@ -9,6 +9,7 @@ from cubichecke.builder import (
     assemble,
     assemble_k3,
     delta4_weight_charpoly,
+    path_weights,
     scaled_projection,
     verify,
     weight_operator,
@@ -128,8 +129,13 @@ def test_generic_assemblies_pinned_by_digest():
 def test_weight_ranks_match_catalog():
     for exps, theta in (((3, 2, 1), 0), ((4, 2, 2), 0), ((3, 3, 3), 1), ((2, 3, 1), 0)):
         g = assemble(label4(exps, theta))
-        wr = weight_report(g, with_d=False)
+        wr = weight_report(g)
         assert wr.ranks_match
+        # the paper's definition: the (i, j) weight space is the image of B(i, j)
+        ranks = {(i, j): weight_operator(g, i, j).rank() for i in (1, 2, 3) for j in (1, 2, 3)}
+        by_definition = {w: r for w, r in ranks.items() if r}
+        assert by_definition == path_weights(g.basis, g.S3, range(len(g.basis)), g.eigenvalues())
+        assert by_definition == wr.expected
 
 
 def test_weight_flip_conjugation():

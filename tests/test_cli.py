@@ -163,6 +163,27 @@ def test_rep_rejects_missing_or_unreadable_input(tmp_path, capsys):
         assert word in captured.err
 
 
+def test_excluded_difference_ideal_is_invalid_input(tmp_path, capsys):
+    # li - lj has no locus: the eigenvalues are pairwise distinct
+    out_file = tmp_path / "rep.json"
+    main(["rep", "build", "--module", "l1*l2", "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    data["result"]["context"] = "l1-l2"
+    diff_context = tmp_path / "diff_context.json"
+    diff_context.write_text(json.dumps(data))
+    for argv in (
+        ["rep", "build", "--module", "l1*l2", "--ideal", "l1-l2"],
+        ["rep", "verify", "--out", str(diff_context)],
+        ["structure", "census", "--ideal", "l1-l2"],
+    ):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "pairwise distinct" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["classify", "--lambda", "2,3,5"], ["catalog"]])
 def test_unwritable_out_is_invalid_input(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path)])

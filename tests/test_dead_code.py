@@ -6,6 +6,7 @@ frozen, and every dataclass field of the library is read as an attribute
 somewhere."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -143,3 +144,64 @@ def test_no_unread_dataclass_fields():
                 and item.target.id not in read
             )
     assert not unread, "dataclass fields never read: %s" % ", ".join(unread)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter name, position or None) for every parameter with
+    a default value; a method's positions skip its receiver, and ``__init__``
+    is called through its class name."""
+    owners = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        name = owner if owner and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        for k in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield name, positional[k].arg, k - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed_parameters() -> tuple[dict, dict]:
+    """Callee name -> the most positional arguments of any call, and callee
+    name -> the keywords passed; ``*args`` counts as every position and
+    ``**kwargs`` as every keyword (the keyword None)."""
+    positions: dict = {}
+    keywords: dict = {}
+    for d in SEARCHED:
+        for p in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(p.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                positions[name] = max(positions.get(name, 0), n)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return positions, keywords
+
+
+def test_no_unset_defaults():
+    """Every parameter with a default value is passed by some call, by keyword
+    or by position, matched by function name; otherwise the default is the
+    only value it ever takes."""
+    positions, keywords = _passed_parameters()
+    unset = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for name, param, position in _defaulted_parameters(ast.parse(path.read_text())):
+            passed = keywords.get(name, set())
+            if param in passed or None in passed:
+                continue
+            if position is not None and positions.get(name, 0) > position:
+                continue
+            unset.append("%s.%s(%s)" % (path.stem, name, param))
+    assert not unset, "parameters that no call sets: %s" % ", ".join(unset)

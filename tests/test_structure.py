@@ -274,16 +274,28 @@ def _non_diff_ideals():
     return [p for p in ideal_catalog() if p.family != "diff"]
 
 
-def test_table2_series_pinned():
-    """Factor labels, path indices and weights of all 75 Table-2 series."""
+def _table2_series_lines(orientation: str) -> list:
     lines = []
     for spec in catalog_regular(4):
         for p in vanishing_for_module(spec.label):
             lines.append("%s mod %s" % (spec.label.name, p.name))
-            for f in composition_series(spec.label, p).factors:
+            for f in composition_series(spec.label, p, orientation).factors:
                 lines.append("  %s %r %r" % (f.label.name, f.indices, sorted(f.weights.items())))
+    return lines
+
+
+def test_table2_series_pinned():
+    """Factor labels, path indices and weights of all 75 Table-2 series."""
+    lines = _table2_series_lines("as-given")
     assert sum(not line.startswith("  ") for line in lines) == 75
     assert _digest(lines) == "a0d7bde1f4ab3f6a396ae8ae6d7dc1ddfac036879fe0347d5e04462ef466a2cd"
+
+
+def test_table2_transposed_series_pinned():
+    """The same 75 series read off the transposed generators."""
+    lines = _table2_series_lines("transpose")
+    assert sum(not line.startswith("  ") for line in lines) == 75
+    assert _digest(lines) == "b351e1aaabc3033012a48d83a61b4c26e8b7037c29a15c2e6704fcb2adefcafb"
 
 
 def test_k3_reports_pinned():
