@@ -69,12 +69,8 @@ class GeneratorSet:
         return tuple(self.context.apply_ratfunc(l) for l in lams)
 
     def delta_matrix(self) -> Matrix:
-        """The half twist as the fixed word S1 S2 S3 S1 S2 S1 (level 4)."""
-        if self.label.level == 4:
-            s1, s2, s3 = self.S1, self.S2, self.S3
-            return s1 * s2 * s3 * s1 * s2 * s1
-        s1, s2 = self.S1, self.S2
-        return s1 * s2 * s1
+        """The half twist: the word ``HALF_TWIST`` of the set's level."""
+        return eval_word(HALF_TWIST[self.label.level], self.matrices, Matrix.__mul__, {})
 
 
 def _block_diag(n: int, placements) -> Matrix:
@@ -131,17 +127,8 @@ def _adapted_scalars(mats: list[Matrix], gen) -> list[int]:
 
 def _conjugate_by_powers(m: Matrix, gen, k: list[int]) -> Matrix:
     gpoly = RatFunc(gen)
-    entries = []
-    for r in range(m.rows):
-        row = []
-        for t in range(m.cols):
-            a = m.entries[r][t]
-            d = k[r] - k[t]
-            if d and not a.is_zero():
-                a = a * gpoly ** d
-            row.append(a)
-        entries.append(row)
-    return Matrix(entries)
+    return Matrix([[a * gpoly ** (k[r] - k[t]) if k[r] != k[t] and not a.is_zero() else a
+                    for t, a in enumerate(row)] for r, row in enumerate(m.entries)])
 
 
 def _on_locus(mats, ctx: Specialization) -> tuple[dict, tuple]:
@@ -173,14 +160,10 @@ def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
     n = len(paths)
     lam = [RatFunc.var(k) for k in range(3)]
     s1 = Matrix.diagonal([lam[t.eigen_index - 1] for t in paths])
-    s2_placements = []
-    for idx in _groups(paths, "g3"):
-        s2_placements.append((idx, _generic_block("s2", None, paths[idx[0]].g3, "row")))
-    s2 = _block_diag(n, s2_placements)
-    s3_placements = []
-    for idx in _groups(paths, "g2"):
-        s3_placements.append((idx, _generic_block("s3", paths[idx[0]].g2, label, gauge)))
-    s3 = _block_diag(n, s3_placements)
+    s2 = _block_diag(n, [(idx, _generic_block("s2", None, paths[idx[0]].g3, "row"))
+                         for idx in _groups(paths, "g3")])
+    s3 = _block_diag(n, [(idx, _generic_block("s3", paths[idx[0]].g2, label, gauge))
+                         for idx in _groups(paths, "g2")])
     s3_final, certificate = _solve_gauge(paths, s2, s3)
     certificate["gauge"] = gauge
     return GeneratorSet(label, paths, {1: s1, 2: s2, 3: s3_final}, None, gauge, certificate)
@@ -339,16 +322,8 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
                     "braid residual nonzero after pinning %d free scalar(s)" % free_pins
                 )
 
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = s3.entries[i][j]
-            if not a.is_zero():
-                a = scaled(a, (i, j))[0]
-            row.append(a)
-        entries.append(row)
-    s3_final = Matrix(entries)
+    s3_final = Matrix([[scaled(a, (i, j))[0] if not a.is_zero() else a for j, a in enumerate(row)]
+                       for i, row in enumerate(s3.entries)])
     cert = {
         "pinned": pinned,
         "free_pinned": free_pins,
@@ -358,6 +333,82 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
 
 
 # -- verification ----------------------------------------------------------------------
+#
+# The defining relations as data.  A word is a tuple of generator indices
+# multiplied left to right, an entry that is itself a word a bracketed factor,
+# and DELTA the half twist of the set's level.  A row's rhs is a word, CUBIC
+# for (S - l1)(S - l2)(S - l3) = 0 of the generator in lhs, or a diagonal: a
+# function of ``central`` (label -> its scalar of Delta^2) and the set.
+
+HALF_TWIST = {3: (1, 2, 1), 4: (1, 2, 3, 1, 2, 1)}
+DELTA, CUBIC = "D", "cubic"
+_D3, _D4 = HALF_TWIST[3], HALF_TWIST[4]
+
+
+@dataclass(frozen=True)
+class Relation:
+    lhs: tuple
+    rhs: object
+    shortcut: tuple = ()    # (premise checks, identities implying the row once all passed)
+
+
+# check name -> relation, in report order
+RELATIONS = {
+    "commute_S1_S3": Relation((1, 3), (3, 1)),
+    "braid_S1_S2": Relation((_D3,), (2, 1, 2)),     # Delta3 bracketed: the Delta rows reuse it
+    "braid_S2_S3": Relation((2, 3, 2), (3, 2, 3)),
+    **{"cubic_S%d" % a: Relation((a,), CUBIC) for a in (1, 2, 3)},
+    # in B4, Delta4^2 = Delta3^2 (s3 s2 s1^2 s2 s3), and Delta3^2 acts on each
+    # path by the central scalar of its level-3 label
+    "delta_sq_scalar": Relation((DELTA, DELTA), lambda c, g: [c(g.label)] * len(g.basis), (
+        ("commute_S1_S3", "braid_S1_S2", "braid_S2_S3"),
+        (Relation((_D3, _D3), lambda c, g: [c(t.g3) for t in g.basis]),
+         Relation((3, (2, (1, 1), 2), 3), lambda c, g: [c(g.label) / c(t.g3) for t in g.basis])),
+    )),
+    **{"delta_flip_S%d" % a: Relation((_D4, a), (4 - a, _D4)) for a in (1, 2, 3)},
+}
+
+
+def _resolve(word: tuple, level: int) -> tuple:
+    return tuple(HALF_TWIST[level] if f == DELTA else f for f in word)
+
+
+def _letters(word: tuple) -> set:
+    return {x for f in word for x in (_letters(f) if isinstance(f, tuple) else (f,))}
+
+
+def eval_word(word: tuple, mats, mul, memo: dict):
+    """The product of ``word`` over ``mats`` (generator index -> matrix) by
+    ``mul``.  ``memo`` keeps every proper prefix and bracketed factor, so the
+    words that share one form it once; a whole word is not kept, so a product
+    that nothing shares is freed after its check."""
+    acc = None
+    for k, f in enumerate(word, 1):
+        if word[:k] in memo:
+            acc = memo[word[:k]]
+            continue
+        if isinstance(f, tuple) and f not in memo:
+            memo[f] = eval_word(f, mats, mul, memo)
+        m = memo[f] if isinstance(f, tuple) else mats[f]
+        acc = m if acc is None else mul(acc, m)
+        if k < len(word):
+            memo[word[:k]] = acc
+    return acc
+
+
+def relation_sides(rel: Relation, level: int, mats, mul, memo: dict, diagonal):
+    """Both sides of a non-cubic row; ``diagonal`` makes a diagonal rhs a matrix."""
+    lhs = eval_word(_resolve(rel.lhs, level), mats, mul, memo)
+    if isinstance(rel.rhs, tuple):
+        return lhs, eval_word(_resolve(rel.rhs, level), mats, mul, memo)
+    return lhs, diagonal(rel.rhs)
+
+
+def first_difference(lhs, rhs) -> tuple | None:
+    """(i, j) of the first entry, in row-major order, where two arrays of rows
+    differ, or None."""
+    return next(((i, j) for i, (ra, rb) in enumerate(zip(lhs, rhs))
+                 for j, (a, b) in enumerate(zip(ra, rb)) if a != b), None)
 
 
 @dataclass(frozen=True)
@@ -377,79 +428,42 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _check_zero(name: str, m: Matrix) -> CheckResult:
-    loc = m.first_nonzero()
-    return CheckResult(name, loc is None, loc)
-
-
 def verify(g: GeneratorSet) -> VerifyReport:
-    """Exact verification of every defining relation of the module.
+    """Exact verification of each row of ``RELATIONS`` whose generators the
+    set has.  delta_sq_scalar takes its shortcut only if its three premises,
+    commute_S1_S3, braid_S1_S2 and braid_S2_S3, passed in this report, and
+    otherwise squares the half twist, so corrupted inputs fail faithfully."""
+    level, mats, lams, memo = g.label.level, g.matrices, g.eigenvalues(), {}
+    mul = Matrix.__mul__
 
-    Checks: far commutation, both braid relations, the cubic relation of each
-    generator, the central scalar of the squared half twist, and the flip
-    conjugation by the half twist.  Once the braid relations have passed, the
-    scalar check is evaluated through the word identity
-    Delta4^2 = Delta3^2 (s3 s2 s1^2 s2 s3), which avoids squaring the dense
-    half-twist matrix; if any braid check failed it falls back to the direct
-    product so that corrupted inputs are reported faithfully.
-    """
-    lam = g.eigenvalues()
-    checks = []
-    gens = {i: g.matrices[i] for i in g.matrices}
-    idx = sorted(gens)
-    for a in idx:
-        for b in idx:
-            if b - a > 1:
-                checks.append(
-                    _check_zero("commute_S%d_S%d" % (a, b), gens[a] * gens[b] - gens[b] * gens[a])
-                )
-    braid_ok = True
-    for a in idx:
-        if a + 1 in gens:
-            lhs = gens[a] * gens[a + 1] * gens[a]
-            rhs = gens[a + 1] * gens[a] * gens[a + 1]
-            res = _check_zero("braid_S%d_S%d" % (a, a + 1), lhs - rhs)
-            braid_ok = braid_ok and res.passed
-            checks.append(res)
-    n = g.S1.rows
-    for a in idx:
-        prod = Matrix.identity(n)
-        for l in lam:
-            prod = prod * gens[a].add_scalar(-l)
-        checks.append(_check_zero("cubic_S%d" % a, prod))
-    scalar = delta_scalar(g.label)
-    if g.context is not None:
-        scalar = g.context.apply_ratfunc(scalar)
-    if g.label.level == 4 and braid_ok:
-        checks.append(_scalar_check_via_jm(g, scalar))
-    else:
-        delta = g.delta_matrix()
-        checks.append(
-            _check_zero("delta_sq_scalar", delta * delta - Matrix.identity(n).scale(scalar))
-        )
-    if g.label.level == 4:
-        delta = g.delta_matrix()
-        for a in (1, 2, 3):
-            checks.append(
-                _check_zero("delta_flip_S%d" % a, delta * gens[a] - gens[4 - a] * delta)
-            )
+    @lru_cache(maxsize=None)
+    def central(label: ModuleLabel) -> RatFunc:
+        c = delta_scalar(label)
+        return c if g.context is None else g.context.apply_ratfunc(c)
+
+    def diagonal(d) -> Matrix:
+        return Matrix.diagonal(d(central, g))
+
+    def residual(rel: Relation):
+        if rel.rhs == CUBIC:
+            f = [mats[rel.lhs[0]].add_scalar(-l) for l in lams]
+            lhs, rhs = mul(mul(f[0], f[1]), f[2]), Matrix.zero(f[0].rows, f[0].rows)
+        else:
+            lhs, rhs = relation_sides(rel, level, mats, mul, memo, diagonal)
+        return first_difference(lhs.entries, rhs.entries)
+
+    passed, checks = {}, []
+    for name, rel in RELATIONS.items():
+        words = rel.lhs + rel.rhs if isinstance(rel.rhs, tuple) else rel.lhs
+        if not _letters(_resolve(words, level)) <= mats.keys():
+            continue
+        if rel.shortcut and all(passed.get(p) for p in rel.shortcut[0]):
+            loc = next(filter(None, map(residual, rel.shortcut[1])), None)
+        else:
+            loc = residual(rel)
+        passed[name] = loc is None
+        checks.append(CheckResult(name, loc is None, loc))
     return VerifyReport(g.label, checks)
-
-
-def _scalar_check_via_jm(g: GeneratorSet, scalar: RatFunc) -> CheckResult:
-    s1, s2, s3 = g.S1, g.S2, g.S3
-    n = s1.rows
-    center3 = [delta_scalar(t.g3) for t in g.basis]
-    if g.context is not None:
-        center3 = [g.context.apply_ratfunc(x) for x in center3]
-    d3 = s1 * s2 * s1
-    res = (d3 * d3) - Matrix.diagonal(center3)
-    loc = res.first_nonzero()
-    if loc is not None:
-        return CheckResult("delta_sq_scalar", False, loc)
-    jm = s3 * (s2 * (s1 * s1) * s2) * s3
-    want = Matrix.diagonal([scalar / x for x in center3])
-    return _check_zero("delta_sq_scalar", jm - want)
 
 
 # -- weight diagnostics (generic context) -----------------------------------------------
@@ -458,11 +472,8 @@ def _scalar_check_via_jm(g: GeneratorSet, scalar: RatFunc) -> CheckResult:
 def scaled_projection(m: Matrix, r: int, lams) -> Matrix:
     """P_{k r} = prod_{s != r} (S_k - l_s), the scaled weight projection;
     ``lams`` are the images of l1, l2, l3 in the working field."""
-    out = Matrix.identity(m.rows)
-    for s in (1, 2, 3):
-        if s != r:
-            out = out * m.add_scalar(-lams[s - 1])
-    return out
+    a, b = (m.add_scalar(-lams[s - 1]) for s in (1, 2, 3) if s != r)
+    return a * b
 
 
 def weight_operator(g: GeneratorSet, i: int, j: int) -> Matrix:
@@ -518,13 +529,12 @@ def weight_report(g: GeneratorSet) -> WeightReport:
 
 def extract_scalar(lhs: Matrix, rhs: Matrix) -> RatFunc:
     """The scalar c with lhs = c * rhs; verified on every entry."""
-    loc = rhs.first_nonzero()
+    loc = first_difference(rhs.entries, Matrix.zero(rhs.rows, rhs.cols).entries)
     if loc is None:
         raise ValueError("cannot extract a scalar against the zero matrix")
     i, j = loc
     c = (lhs.entries[i][j] / rhs.entries[i][j]).reduce()
-    diff = lhs - Matrix([[e * c for e in row] for row in rhs.entries])
-    if not diff.is_zero():
+    if lhs != rhs.scale(c):
         raise ValueError("matrices are not proportional")
     return c
 

@@ -108,14 +108,6 @@ class Matrix:
     def __hash__(self):
         raise TypeError("matrices are unhashable")
 
-    def first_nonzero(self):
-        """(i, j) of the first nonzero entry in row-major order, or None."""
-        for i, row in enumerate(self.entries):
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    return (i, j)
-        return None
-
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(a) for a in row] for row in self.entries])
 

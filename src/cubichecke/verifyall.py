@@ -6,8 +6,8 @@ of the half-twist on the doubled weight space, the semisimplicity classifier,
 blocks, exact sequences, the exceptional-module table, the double-locus
 census, and the property suites (traces, gauge invariance, transpose duality,
 equivariance, and the random-point eigenprojection oracle).  The "fast" level
-replays the generator relations and the projection oracle at random exact
-points only.
+replays two rows of the relation table, braid_S2_S3 and the central scalar of
+Delta^2, and the projection oracle at random exact points only.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from functools import partial
 
 from . import golden
 from .builder import (
+    RELATIONS,
     alpha_scalar,
     assemble,
     assemble_generic,
     delta4_weight_charpoly,
+    first_difference,
+    relation_sides,
     verify,
     weight_report,
 )
@@ -156,8 +159,6 @@ def _check_assembly(label):
     rep = verify(assemble(label))
     bad = [c.name for c in rep.checks if not c.passed]
     return _ok(not bad, "failed: %s" % bad if bad else "all relations exact")
-
-
 
 
 # -- criterion 5-6: weight diagnostics ------------------------------------------------------
@@ -507,7 +508,6 @@ def check_transpose_duality():
 
 
 def check_equivariance():
-    rng = random.Random(7)
     for p in PERMS:
         for spec in catalog_regular(4):
             image = perm_label(p, spec.label)
@@ -584,27 +584,23 @@ def check_numeric_oracle():
 def _check_fast_assembly(label):
     rng = random.Random(zlib.crc32(label.name.encode()) & 0xFFFF)
     g = assemble_generic(label)
-    mats = [g.matrices[i].map(lambda a: a.reduce()) for i in (1, 2, 3)]
-    scalar = delta_scalar(label)
+    mats = {i: g.matrices[i].map(lambda a: a.reduce()) for i in (1, 2, 3)}
     for _ in range(100):
         pt = _random_generic_point(rng)
         try:
-            m1, m2, m3 = (eval_matrix(m, pt) for m in mats)
+            num = {i: eval_matrix(m, pt) for i, m in mats.items()}
         except ZeroDivisionError:
             continue
-        lhs = num_mat_mul(num_mat_mul(m2, m3), m2)
-        rhs = num_mat_mul(num_mat_mul(m3, m2), m3)
-        if lhs != rhs:
-            return _ok(False, "braid relation fails numerically at %s" % (pt,))
-        d4 = num_mat_mul(num_mat_mul(num_mat_mul(num_mat_mul(num_mat_mul(m1, m2), m3), m1), m2), m1)
-        d4sq = num_mat_mul(d4, d4)
-        sc = scalar.eval_point(pt)
-        n = len(d4sq)
-        for r in range(n):
-            for s in range(n):
-                want = sc if r == s else Cyclotomic()
-                if d4sq[r][s] != want:
-                    return _ok(False, "central scalar fails numerically at %s" % (pt,))
+        memo = {}
+
+        def diagonal(d):
+            v = d(lambda lbl: delta_scalar(lbl).eval_point(pt), g)
+            return [[v[r] if r == s else Cyclotomic() for s in range(len(v))] for r in range(len(v))]
+
+        for name, what in (("braid_S2_S3", "braid relation"), ("delta_sq_scalar", "central scalar")):
+            sides = relation_sides(RELATIONS[name], label.level, num, num_mat_mul, memo, diagonal)
+            if first_difference(*sides) is not None:
+                return _ok(False, "%s fails numerically at %s" % (what, pt))
     return _ok(True, "100 exact points")
 
 

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from cubichecke.builder import (
+    GeneratorSet,
     _solve_gauge,
     alpha_scalar,
     assemble,
@@ -65,6 +66,8 @@ def test_k3_assembly():
         g = assemble_k3(label3(exps))
         rep = verify(g)
         assert rep.all_passed
+        names = [c.name for c in rep.checks]
+        assert names == ["braid_S1_S2", "cubic_S1", "cubic_S2", "delta_sq_scalar"]
     ctx = ideal_by_name("l1^2+l2*l3").param
     g = assemble_k3(label3((1, 1, 1)), ctx)
     assert verify(g).all_passed
@@ -147,15 +150,63 @@ def test_weight_flip_conjugation():
     assert (delta * b12 - b21 * delta).is_zero()
 
 
-def test_corrupted_module_fails_with_location():
-    g = assemble(label4((2, 1, 0)))
-    rows = [list(row) for row in g.S2.entries]
-    rows[0][1] = rows[0][1] + RatFunc.one()
-    g = dataclasses.replace(g, matrices={**g.matrices, 2: Matrix(rows)})
+def _twice(a: RatFunc) -> RatFunc:
+    return a.scale(Cyclotomic(2))
+
+
+def _plus_one(a: RatFunc) -> RatFunc:
+    return a + RatFunc.one()
+
+
+_NAMES = ["commute_S1_S3", "braid_S1_S2", "braid_S2_S3", "cubic_S1", "cubic_S2", "cubic_S3",
+          "delta_sq_scalar", "delta_flip_S1", "delta_flip_S2", "delta_flip_S3"]
+_OK, _AT = (True, None), (lambda *ij: (False, ij))
+
+
+# one generator entry changed; the expected (passed, residual) of every check
+# in report order
+@pytest.mark.parametrize(
+    "exps,gen,at,change,expected",
+    [
+        ((2, 1, 0), 2, (0, 1), _plus_one,
+         [_OK, _AT(0, 0), _AT(0, 0), _OK, _AT(0, 0), _OK, _AT(0, 0), _AT(0, 0), _AT(0, 1), _AT(0, 0)]),
+        ((3, 2, 1), 3, (0, 3), _twice,
+         [_OK, _OK, _AT(0, 0), _OK, _OK, _AT(0, 0), _AT(0, 0), _AT(0, 0), _OK, _AT(0, 0)]),
+        ((1, 1, 1), 1, (0, 0), _twice,
+         [_OK, _AT(0, 0), _OK, _AT(0, 0), _OK, _OK, _AT(0, 0), _AT(0, 0), _AT(0, 1), _AT(0, 0)]),
+    ],
+    ids=["l1^2*l2-S2", "l1^3*l2^2*l3-S3", "l1*l2*l3-S1"],
+)
+def test_corrupted_module_fails_with_location(exps, gen, at, change, expected):
+    g = assemble(label4(exps))
+    rows = [list(row) for row in g.matrices[gen].entries]
+    i, j = at
+    rows[i][j] = change(rows[i][j])
+    g = dataclasses.replace(g, matrices={**g.matrices, gen: Matrix(rows)})
     rep = verify(g)
-    assert not rep.all_passed
-    failed = [c for c in rep.checks if not c.passed]
-    assert failed and all(c.residual is not None for c in failed)
+    got = [(c.name, c.passed, c.residual) for c in rep.checks]
+    assert got == [(name, *want) for name, want in zip(_NAMES, expected)]
+
+
+@pytest.mark.parametrize("ideal", ["l1+l2", "l1+theta*l2"])
+def test_delta_sq_shortcut_needs_far_commutation(ideal):
+    # l1 times the standard 2-dim representation of the symmetric group on
+    # (12), (23), (13): both braid relations hold, S1 S3 != S3 S1, and
+    # Delta^2 is not the central scalar, so the Jucys-Murphy shortcut must
+    # not certify it
+    label = label4((1, 1, 0))
+    ctx = ideal_by_name(ideal).param
+    l1 = ctx.apply_ratfunc(L1)
+
+    def gen(rows):
+        return Matrix([[l1.scale(Cyclotomic(x)) for x in row] for row in rows])
+
+    mats = {1: gen([[-1, 1], [0, 1]]), 2: gen([[1, 0], [1, -1]]), 3: gen([[0, -1], [-1, 0]])}
+    g = GeneratorSet(label, enumerate_paths(label), mats, ctx, "row", {})
+    checks = {c.name: (c.passed, c.residual) for c in verify(g).checks}
+    assert checks["braid_S1_S2"] == checks["braid_S2_S3"] == (True, None)
+    assert checks["commute_S1_S3"] == (False, (0, 0))
+    assert checks["delta_sq_scalar"] == (False, (0, 0))
 
 
 @pytest.mark.parametrize("kind", ["generic", "locus", "level3"])

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 _RECORD_POINTS = """
@@ -64,7 +66,12 @@ def test_fast_level_workers_match_serial():
     assert run_level("fast", names=FAST_SUBSET, workers=2) == serial
 
 
-def test_fast_assembly_names_a_broken_braid_relation(monkeypatch):
+@pytest.mark.parametrize(
+    "gen,named", [(3, "braid relation"), (1, "central scalar")], ids=["braid", "central_scalar"]
+)
+def test_fast_assembly_names_a_broken_relation(monkeypatch, gen, named):
+    # doubling the first diagonal entry of S3 breaks braid_S2_S3; doubling
+    # that of S1 keeps it and breaks the central scalar of Delta^2
     import dataclasses
 
     from cubichecke import verifyall
@@ -74,15 +81,14 @@ def test_fast_assembly_names_a_broken_braid_relation(monkeypatch):
     from cubichecke.matrix import Matrix
 
     label = label4((2, 1, 0))
-    s3_before = assemble_generic(label).matrices[3]
+    before = assemble_generic(label).matrices[gen]
     g = assemble(label)
-    rows = [list(row) for row in g.S3.entries]
-    r, c = g.S3.first_nonzero()
-    rows[r][c] = rows[r][c].scale(Cyclotomic(2))
-    tampered = dataclasses.replace(g, matrices={**g.matrices, 3: Matrix(rows)})
+    rows = [list(row) for row in g.matrices[gen].entries]
+    rows[0][0] = rows[0][0].scale(Cyclotomic(2))
+    tampered = dataclasses.replace(g, matrices={**g.matrices, gen: Matrix(rows)})
     monkeypatch.setattr(verifyall, "assemble_generic", lambda lbl, gauge="row": tampered)
 
     ok, detail = verifyall._check_fast_assembly(label)
     assert not ok
-    assert "braid relation" in detail
-    assert assemble_generic(label).matrices[3] == s3_before
+    assert named in detail
+    assert assemble_generic(label).matrices[gen] == before
