@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from types import MappingProxyType
 
 from .catalog import (
@@ -23,10 +23,10 @@ from .catalog import (
     enumerate_paths,
     spec_for,
 )
-from .errors import GaugeInconsistent, PoleOnLocus
+from .errors import CubicHeckeError, GaugeInconsistent, PoleOnLocus
 from .jm import ab2_matrix, block_spec
 from .matrix import Matrix, components
-from .ratfunc import RatFunc, valuation
+from .ratfunc import RatFunc, rat_sum, valuation
 from .specialize import Specialization
 
 
@@ -550,7 +550,13 @@ def delta4_weight_charpoly(g: GeneratorSet) -> list:
     """Characteristic polynomial of Delta4 P1(l1) P3(l1) with normalized projections.
 
     Defined for the generic module with exponent shape (4, 2, 2); the module's
-    distinguished eigenvalue is the one with exponent 4.
+    distinguished eigenvalue is the one with exponent 4.  P = P1 P3 has rank 2.
+    With I the rows and columns where P is nonzero, the columns of Delta4 P
+    outside I vanish, so the polynomial is x^(n-2) (x^2 - e1 x + e2) for
+    A = Delta4[I, I] P[I, I], which has rank at most 2: e1 = tr A and e2 is
+    the sum of the principal 2x2 minors of A, (e1^2 - tr A^2) / 2.  Summing
+    the minors keeps each term small; tr A^2 as one sum is several times
+    slower.
     """
     if sorted(g.label.exps, reverse=True) != [4, 2, 2] or g.context is not None:
         raise ValueError("defined for the generic 8-dimensional modules")
@@ -563,5 +569,18 @@ def delta4_weight_charpoly(g: GeneratorSet) -> list:
     inv = denom.inv()
     proj1 = scaled_projection(g.S1, r, lam).scale(inv)
     proj3 = scaled_projection(g.S3, r, lam).scale(inv)
-    b = g.delta_matrix() * proj1 * proj3
-    return [c.reduce() for c in b.charpoly()]
+    p = proj1 * proj3
+    idx = sorted({
+        k for i, row in enumerate(p.entries) for j, x in enumerate(row) if not x.is_zero()
+        for k in (i, j)
+    })
+    p = p.submatrix(idx)
+    rank = p.rank()
+    if rank != 2:
+        raise CubicHeckeError("P1 P3 of %s has rank %d, not 2" % (g.label.name, rank))
+    a = (g.delta_matrix().submatrix(idx) * p).entries
+    e1 = rat_sum([a[i][i] for i in range(len(idx))]).reduce()
+    e2 = rat_sum([
+        a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in combinations(range(len(idx)), 2)
+    ]).reduce()
+    return [RatFunc.zero()] * (g.S1.rows - 2) + [e2, -e1, RatFunc.one()]

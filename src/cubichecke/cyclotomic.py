@@ -238,11 +238,6 @@ THETA2 = Cyclotomic(0, 0, -1)       # theta^2 = -z^2
 I_UNIT = Cyclotomic(0, 0, 0, 1)     # z^3, a primitive fourth root of unity
 
 
-def rat(p, q=1) -> Cyclotomic:
-    """Rational shorthand used all over the test-suites."""
-    return Cyclotomic.from_rational(Fraction(p, q))
-
-
 def theta_power(e: int) -> Cyclotomic:
     """theta^e for e mod 3 (e = 0 gives 1)."""
     e %= 3

@@ -211,27 +211,6 @@ def charpoly_8dim_expected() -> list:
 
 # -- structural tables -------------------------------------------------------------------------
 
-TABLE2_ROWS = {
-    "l1^3*l2^3*l3^3:theta": [
-        "l1+theta*l2", "l2+theta*l1", "l1+theta*l3", "l3+theta*l1",
-        "l2+theta*l3", "l3+theta*l2",
-        "l1^2-theta*l2*l3", "l2^2-theta*l1*l3", "l3^2-theta*l1*l2",
-    ],
-    "l1^3*l2^3*l3^3:theta2": [
-        "l1+theta*l2", "l2+theta*l1", "l1+theta*l3", "l3+theta*l1",
-        "l2+theta*l3", "l3+theta*l2",
-        "l1^2-theta^2*l2*l3", "l2^2-theta^2*l1*l3", "l3^2-theta^2*l1*l2",
-    ],
-    "l1^4*l2^2*l3^2": [
-        "l2^3-l1^2*l3", "l3^3-l1^2*l2", "l1^2-theta*l2*l3", "l1^2-theta^2*l2*l3",
-    ],
-    "l1^3*l2^2*l3": ["l1+l3", "l2+l3", "l2^2+l1*l3", "l1^3-l2^2*l3"],
-    "l1*l2*l3": ["l1^2+l2*l3", "l2^2+l1*l3", "l3^2+l1*l2"],
-    "l1^2*l2": ["l1+i*l2", "l2+i*l1"],
-    "l1*l2": ["l1+theta*l2", "l2+theta*l1"],
-    "l1": [],
-}
-
 SECTION_45 = [
     ("l1+l2", [
         ["l1^2*l3", "l1^3*l2*l3^2", "l1*l2^3*l3^2", "l2^2*l3"],

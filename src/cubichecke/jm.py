@@ -222,27 +222,3 @@ def ab2_matrix(spec: AB2BlockSpec, mu: RatFunc, gauge: str = "row") -> Matrix:
             row.append(val.reduce())
         entries.append(row)
     return Matrix(entries)
-
-
-def ab2_matrix_closed_form(spec: AB2BlockSpec, mu: RatFunc) -> Matrix:
-    """Off-diagonal entries straight from the closing formula (row gauge);
-    used as an independent cross-check of the projection route."""
-    n = spec.size
-    l1, l2 = _pair_for(spec.a_spectrum, mu)
-    delta = spec.delta
-    m = ab2_matrix(spec, mu, "row")
-
-    def entry(r, t):
-        if r == t:
-            return m.entries[r][r]
-        val = _b_value(spec, mu, l1, l2, r) / (spec.x[r] - spec.x[t])
-        for s in range(n):
-            if s in (r, t):
-                continue
-            val = val * (delta + l1 * l2 * spec.x[r] * spec.x[s]) / (
-                delta * (spec.x[r] - spec.x[s])
-            )
-        return val.reduce()
-
-    return Matrix([[entry(r, t) for t in range(n)] for r in range(n)])
-

@@ -243,7 +243,7 @@ class LaurentPoly:
     def substitute(self, var: int, coeff: Cyclotomic, exps) -> "LaurentPoly":
         """Replace variable ``var`` by ``coeff * l^exps`` (exps[var] must be 0)."""
         exps = tuple(exps)
-        out = LaurentPoly({})
+        out: dict = {}
         cache: dict[int, Cyclotomic] = {0: ONE}
         for e, c in self.terms.items():
             m = e[var]
@@ -255,8 +255,16 @@ class LaurentPoly:
             newe = tuple(
                 (0 if k == var else x) + m * exps[k] for k, x in enumerate(e)
             )
-            out = out + LaurentPoly.monomial(newe, newc)
-        return out
+            cur = out.get(newe)
+            if cur is None:
+                out[newe] = newc
+            else:
+                s = cur + newc
+                if s.is_zero():
+                    del out[newe]
+                else:
+                    out[newe] = s
+        return LaurentPoly(out)
 
     def eval_point(self, values) -> Cyclotomic:
         """Evaluate at a tuple of Cyclotomic values (nonzero where exponents are negative)."""
@@ -505,9 +513,3 @@ def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if not hc.is_one():
         h = exact_div(h, hc)
     return c * h
-
-
-def poly_lcm(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    if f.is_zero() or g.is_zero():
-        return LaurentPoly.zero()
-    return _normalize_monic(exact_div(f * g, poly_gcd(f, g)))

@@ -1,15 +1,12 @@
 """Dense exact matrices over the rational function field.
 
 Everything here is exact; there is no floating point anywhere in the package.
-The characteristic polynomial first splits the matrix into connected blocks of
-its nonzero pattern (the braid generator matrices are block diagonal in a path
-basis), expands small blocks directly and uses the division-controlled
-Faddeev-LeVerrier recursion for anything larger.
+Symbolic matrices have RatFunc entries; the point-side helpers work on
+matrices of Cyclotomic values evaluated at one point.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as _perms
 from math import lcm
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
@@ -26,12 +23,6 @@ class Matrix:
         self.cols = len(self.entries[0]) if self.entries else 0
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one = RatFunc.one()
-        zero = RatFunc.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -86,12 +77,6 @@ class Matrix:
         """self + s*I."""
         rows = enumerate(self.entries)
         return Matrix([[a + s if i == j else a for j, a in enumerate(r)] for i, r in rows])
-
-    def trace(self) -> RatFunc:
-        t = RatFunc.zero()
-        for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.entries for a in row)
@@ -150,52 +135,6 @@ class Matrix:
                 break
         return rank
 
-    # -- spectral helpers ------------------------------------------------------
-
-    def eigenprojection(self, mu: RatFunc, spectrum: list[tuple[RatFunc, int]]) -> "Matrix":
-        """Normalized spectral projection onto the mu-eigenspace.
-
-        ``spectrum`` lists (eigenvalue, multiplicity) with pairwise distinct
-        eigenvalues; the matrix must be diagonalizable with that spectrum.
-        Raises ValueError when the residual (M - mu) P is nonzero.
-        """
-        n = self.rows
-        proj = Matrix.identity(n)
-        mult = None
-        for nu, m in spectrum:
-            if nu == mu:
-                mult = m
-                continue
-            factor = self.add_scalar(-nu)
-            denom = mu - nu
-            if denom.is_zero():
-                raise ValueError("spectrum contains mu twice")
-            proj = (proj * factor).scale(denom.inv())
-        if mult is None:
-            raise ValueError("mu not in spectrum")
-        if not ((self.add_scalar(-mu)) * proj).is_zero():
-            raise ValueError("spectrum mismatch: (M - mu)P != 0")
-        return proj
-
-    # -- characteristic polynomial ------------------------------------------------
-
-    def charpoly(self) -> list[RatFunc]:
-        """Coefficients [c0, c1, ..., cn] of det(x I - M), cn = 1, exact."""
-        if self.rows != self.cols:
-            raise ValueError("charpoly needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return [RatFunc.one()]
-        # blocks: the connected components of the symmetrized nonzero pattern
-        edges = [
-            (i, j) for i in range(n) for j in range(n)
-            if i != j and not self.entries[i][j].is_zero()
-        ]
-        out = [RatFunc.one()]
-        for idx in components(range(n), edges)[0]:
-            out = _poly_mul_coeffs(out, _block_charpoly(self.submatrix(idx)))
-        return out
-
 
 def components(nodes, edges) -> tuple[list[list], list[bool]]:
     """Connected components of an undirected graph, by union-find.
@@ -222,90 +161,6 @@ def components(nodes, edges) -> tuple[list[list], list[bool]]:
     for v in parent:
         groups.setdefault(find(v), []).append(v)
     return list(groups.values()), joined
-
-
-def _poly_mul_coeffs(a: list[RatFunc], b: list[RatFunc]) -> list[RatFunc]:
-    out = [RatFunc.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if y.is_zero():
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _block_charpoly(m: Matrix) -> list[RatFunc]:
-    n = m.rows
-    if n == 1:
-        return [-m.entries[0][0], RatFunc.one()]
-    if n <= 4:
-        # direct expansion of det(xI - M): elementary symmetric sums of
-        # principal minors, each minor a signed permutation expansion
-        coeffs = [RatFunc.zero() for _ in range(n + 1)]
-        coeffs[n] = RatFunc.one()
-        from itertools import combinations
-
-        for k in range(1, n + 1):
-            acc = RatFunc.zero()
-            for idx in combinations(range(n), k):
-                acc = acc + _det_leibniz(m, idx)
-            sign = -1 if k % 2 else 1
-            coeffs[n - k] = acc if sign == 1 else -acc
-        return coeffs
-    return _faddeev_leverrier(m)
-
-
-def _det_leibniz(m: Matrix, idx) -> RatFunc:
-    acc = RatFunc.zero()
-    for perm in _perms(range(len(idx))):
-        term = None
-        for r, c in enumerate(perm):
-            a = m.entries[idx[r]][idx[c]]
-            if a.is_zero():
-                term = None
-                break
-            term = a if term is None else term * a
-        if term is None:
-            continue
-        if _perm_sign(perm) < 0:
-            term = -term
-        acc = acc + term
-    return acc.reduce()
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _faddeev_leverrier(m: Matrix) -> list[RatFunc]:
-    n = m.rows
-    coeffs = [RatFunc.zero() for _ in range(n + 1)]
-    coeffs[n] = RatFunc.one()
-    work = m
-    for k in range(1, n + 1):
-        t = work.trace().reduce()
-        ck = t.scale(Cyclotomic.from_rational(-1) / Cyclotomic.from_rational(k)).reduce()
-        coeffs[n - k] = ck
-        if k < n:
-            work = (m * work.add_scalar(ck)).map(
-                lambda a: a.reduce() if len(a.num.terms) + len(a.den.terms) > 120 else a
-            )
-    return coeffs
 
 
 def eval_matrix(m: Matrix, values) -> list[list[Cyclotomic]]:

@@ -92,12 +92,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return not self.fac and self.num.is_one() or (self - RatFunc.one()).is_zero()
-
-    def is_poly(self) -> bool:
-        return not self.fac
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":

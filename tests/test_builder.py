@@ -1,15 +1,18 @@
 import dataclasses
+from fractions import Fraction
 import hashlib
 
 import pytest
 
 from cubichecke.builder import (
+    HALF_TWIST,
     GeneratorSet,
     _solve_gauge,
     alpha_scalar,
     assemble,
     assemble_k3,
     delta4_weight_charpoly,
+    eval_word,
     path_weights,
     scaled_projection,
     verify,
@@ -25,9 +28,9 @@ from cubichecke.catalog import (
     spec_for,
 )
 from cubichecke.cyclotomic import Cyclotomic
-from cubichecke.errors import GaugeInconsistent
-from cubichecke.matrix import Matrix
-from cubichecke.ratfunc import RatFunc
+from cubichecke.errors import CubicHeckeError, GaugeInconsistent
+from cubichecke.matrix import Matrix, eval_matrix, num_eigenprojection, num_mat_mul
+from cubichecke.ratfunc import RatFunc, rat_sum
 from cubichecke.serialize import canonical_dumps, matrix_to_json
 
 L1 = RatFunc.var(0)
@@ -82,13 +85,22 @@ def test_specialized_assembly_verifies():
 
 
 def test_specialized_assembly_charpoly_matches_generic():
+    # equal power traces tr(S2^k), k = 1..6, give equal characteristic
+    # polynomials of the 6x6 S2 in characteristic 0
     six = label4((3, 2, 1))
     p = ideal_by_name("l1^3-l2^2*l3")
-    generic = assemble(six)
-    special = assemble(six, p.param)
-    cp_generic = [p.param.apply_ratfunc(c) for c in generic.S2.charpoly()]
-    cp_special = special.S2.charpoly()
-    assert all((a - b).is_zero() for a, b in zip(cp_generic, cp_special))
+    generic = assemble(six).S2
+    special = assemble(six, p.param).S2
+
+    def power_traces(m):
+        power, out = m, []
+        for _ in range(6):
+            out.append(rat_sum([power.entries[i][i] for i in range(m.rows)]))
+            power = (power * m).map(lambda a: a.reduce())
+        return out
+
+    for a, b in zip(power_traces(generic), power_traces(special)):
+        assert (p.param.apply_ratfunc(a) - b).is_zero()
 
 
 def test_gauge_certificate_reports_pins():
@@ -102,7 +114,7 @@ def test_gauge_free_pins_and_inconsistency():
     # entry pins the two cycle scalars of the 8-dim module: both are pinned to
     # 1, which is consistent for S3 = I and not for S3 = 2I
     paths = enumerate_paths(label4((4, 2, 2)))
-    one = Matrix.identity(len(paths))
+    one = Matrix.diagonal([RatFunc.one()] * len(paths))
     s3, cert = _solve_gauge(paths, one, one)
     assert s3 == one
     assert cert["free_pinned"] == 2
@@ -244,8 +256,8 @@ def test_delta4_weight_charpoly_wrong_label():
 
 
 def test_rank1_weight_charpoly_shape():
-    # for a multiplicity-1 weight the analogous product has charpoly
-    # x^(n-1) (x - s)
+    # for a multiplicity-1 weight the analogous product has rank 1, so its
+    # charpoly is x^(n-1) (x - tr)
     g = assemble(label4((2, 1, 0)))
     lam = [L1, L2, L3]
     r = 1
@@ -255,8 +267,32 @@ def test_rank1_weight_charpoly_shape():
     p1 = scaled_projection(g.S1, r, g.eigenvalues()).scale(denom.inv())
     p3 = scaled_projection(g.S3, r, g.eigenvalues()).scale(denom.inv())
     b = g.delta_matrix() * p1 * p3
-    cp = b.charpoly()
-    assert cp[0].is_zero() and cp[1].is_zero()
-    # x^2 (x - s): the single eigenvalue is the trace
-    s_val = b.trace()
-    assert (cp[2] + s_val).is_zero() or (cp[2] - s_val).is_zero()
+    assert b.rank() == 1
+
+
+def test_delta4_weight_charpoly_at_a_rational_point():
+    # the characteristic polynomial of Delta4 P1 P3 evaluated exactly at one
+    # point, by sympy, equals the symbolic one evaluated there
+    import sympy
+
+    g = assemble(label4((4, 2, 2)))
+    pt = tuple(Cyclotomic(v) for v in (2, 3, 7))
+    lam, others = pt[0], [pt[1], pt[2]]
+    mats = {i: eval_matrix(g.matrices[i], pt) for i in (1, 2, 3)}
+    delta = eval_word(HALF_TWIST[4], mats, num_mat_mul, {})
+    p1 = num_eigenprojection(mats[1], lam, others)
+    p3 = num_eigenprojection(mats[3], lam, others)
+    b = num_mat_mul(num_mat_mul(delta, p1), p3)
+    x = sympy.symbols("x")
+    sm = sympy.Matrix([[sympy.Rational(v.rational_value()) for v in row] for row in b])
+    want = sympy.Poly(sm.charpoly(x).as_expr(), x).all_coeffs()[::-1]
+    got = [c.eval_point(pt).rational_value() for c in delta4_weight_charpoly(g)]
+    assert got == [Fraction(int(w.p), int(w.q)) for w in want]
+    assert any(got[:-1])
+
+
+def test_delta4_weight_charpoly_needs_rank_two():
+    g = assemble(label4((4, 2, 2)))
+    bad = dataclasses.replace(g, matrices={1: g.S1, 2: g.S2, 3: g.S1})
+    with pytest.raises(CubicHeckeError, match="rank 4"):
+        delta4_weight_charpoly(bad)

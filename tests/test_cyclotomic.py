@@ -15,7 +15,6 @@ from cubichecke.cyclotomic import (
     THETA2,
     ZERO,
     ZETA,
-    rat,
     theta_power,
 )
 
@@ -23,6 +22,11 @@ rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
 )
 elements = st.builds(Cyclotomic, rationals, rationals, rationals, rationals)
+
+
+def rat(p, q=1) -> Cyclotomic:
+    """The rational number p/q as a Cyclotomic."""
+    return Cyclotomic.from_rational(Fraction(p, q))
 
 
 def test_theta_is_a_primitive_cube_root():

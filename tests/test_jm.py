@@ -14,9 +14,10 @@ from cubichecke.cyclotomic import theta_power
 from cubichecke.errors import HypothesisViolated, PathBasisUnavailable
 from cubichecke.jm import (
     AB2BlockSpec,
+    _b_value,
+    _pair_for,
     ab2_diag,
     ab2_matrix,
-    ab2_matrix_closed_form,
     block_spec,
 )
 from cubichecke.matrix import Matrix
@@ -30,6 +31,29 @@ ONE = RatFunc.one()
 
 # sha256 of every catalog block's projection diagonals and both-gauge matrices
 CATALOG_BLOCK_DIGEST = "8bfb7f3d58b396884ffecb89c4c80c83a8f0302f74ba26538460bf520f4d7f02"
+
+
+def ab2_matrix_closed_form(spec: AB2BlockSpec, mu: RatFunc) -> Matrix:
+    """Off-diagonal entries straight from the closing formula (row gauge): an
+    independent cross-check of the projection route of ``ab2_matrix``."""
+    n = spec.size
+    l1, l2 = _pair_for(spec.a_spectrum, mu)
+    delta = spec.delta
+    m = ab2_matrix(spec, mu, "row")
+
+    def entry(r, t):
+        if r == t:
+            return m.entries[r][r]
+        val = _b_value(spec, mu, l1, l2, r) / (spec.x[r] - spec.x[t])
+        for s in range(n):
+            if s in (r, t):
+                continue
+            val = val * (delta + l1 * l2 * spec.x[r] * spec.x[s]) / (
+                delta * (spec.x[r] - spec.x[s])
+            )
+        return val.reduce()
+
+    return Matrix([[entry(r, t) for t in range(n)] for r in range(n)])
 
 
 def test_block_spec_6dim():
@@ -75,7 +99,7 @@ def test_diag_sums_to_one_and_matrix_relations():
             want = b.delta if i == j else RatFunc.zero()
             assert (atat.entries[i][j] - want).is_zero()
             assert (tata.entries[i][j] - want).is_zero()
-    minpoly = Matrix.identity(n)
+    minpoly = Matrix.diagonal([ONE] * n)
     for ev, _m in b.a_spectrum:
         minpoly = minpoly * a.add_scalar(-ev)
     assert minpoly.is_zero()

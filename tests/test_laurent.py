@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA
-from cubichecke.laurent import LaurentPoly, divides, exact_div, poly_gcd, poly_lcm
+from cubichecke.laurent import LaurentPoly, divides, exact_div, poly_gcd
 
 L1 = LaurentPoly.var(0)
 L2 = LaurentPoly.var(1)
@@ -114,8 +114,3 @@ def test_product_division_roundtrip(f, g):
         return
     prod = f * g
     assert exact_div(prod, g) == f
-
-
-def test_lcm():
-    l = poly_lcm(L1 * L1 - L2 * L2, L1 - L2)
-    assert l == L1 * L1 - L2 * L2
