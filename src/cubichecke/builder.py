@@ -420,7 +420,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    label: ModuleLabel
     checks: list
 
     @property
@@ -463,7 +462,7 @@ def verify(g: GeneratorSet) -> VerifyReport:
             loc = residual(rel)
         passed[name] = loc is None
         checks.append(CheckResult(name, loc is None, loc))
-    return VerifyReport(g.label, checks)
+    return VerifyReport(checks)
 
 
 # -- weight diagnostics (generic context) -----------------------------------------------
@@ -502,7 +501,6 @@ def path_weights(basis, s: Matrix, idx, lams) -> dict:
 
 @dataclass(frozen=True)
 class WeightReport:
-    label: ModuleLabel
     ranks: dict                    # (i, j) -> multiplicity of the weight
     d_scalars: dict                # 6-dim module only
     expected: dict
@@ -524,7 +522,7 @@ def weight_report(g: GeneratorSet) -> WeightReport:
         for (i, j) in ranks:
             op = weight_operator(g, i, j)
             d_scalars[(i, j)] = extract_scalar(op * p23 * op, op)
-    return WeightReport(g.label, ranks, d_scalars, spec_for(g.label).weight_multiset())
+    return WeightReport(ranks, d_scalars, spec_for(g.label).weight_multiset())
 
 
 def extract_scalar(lhs: Matrix, rhs: Matrix) -> RatFunc:

@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, IncompatibleIdeals) as exc:
+    except (ValueError, KeyError, IncompatibleIdeals) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except CubicHeckeError as exc:

@@ -5,7 +5,7 @@ positive int d, reduced modulo the minimal polynomial z^4 = z^2 - 1.  The
 stored form is canonical: gcd(n0, n1, n2, n3, d) == 1 and zero is 0/1, so
 equal elements store equal integers.  Arithmetic is fraction-free; a result
 whose denominator is 1 (the common case) skips the gcd.  ``Fraction`` appears
-only at the boundary: constructor input and :meth:`Cyclotomic.rational_value`.
+only at the boundary, in constructor input.
 
 The field contains
 
@@ -52,15 +52,6 @@ class Cyclotomic:
 
     def is_one(self) -> bool:
         return self.d == 1 and self.n == (1, 0, 0, 0)
-
-    def is_rational(self) -> bool:
-        n = self.n
-        return not (n[1] or n[2] or n[3])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element: %r" % (self,))
-        return Fraction(self.n[0], self.d)
 
     def coeff_strs(self) -> list:
         """The four coefficients ni/d in lowest terms, rendered "p" or "p/q"."""
@@ -236,11 +227,3 @@ ZETA = Cyclotomic(0, 1)
 THETA = Cyclotomic(-1, 0, 1)        # z^2 - 1, a primitive cube root of unity
 THETA2 = Cyclotomic(0, 0, -1)       # theta^2 = -z^2
 I_UNIT = Cyclotomic(0, 0, 0, 1)     # z^3, a primitive fourth root of unity
-
-
-def theta_power(e: int) -> Cyclotomic:
-    """theta^e for e mod 3 (e = 0 gives 1)."""
-    e %= 3
-    if e == 0:
-        return ONE
-    return THETA if e == 1 else THETA2

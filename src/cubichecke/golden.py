@@ -11,14 +11,14 @@ hit exactly.
 from __future__ import annotations
 
 from .catalog import label2, label3, label4
-from .cyclotomic import theta_power
+from .cyclotomic import THETA, THETA2
 from .ratfunc import RatFunc
 
 L1 = RatFunc.var(0)
 L2 = RatFunc.var(1)
 L3 = RatFunc.var(2)
-TH = RatFunc.const(theta_power(1))
-TH2 = RatFunc.const(theta_power(2))
+TH = RatFunc.const(THETA)
+TH2 = RatFunc.const(THETA2)
 ONE = RatFunc.one()
 
 
@@ -259,7 +259,7 @@ TABLE3_ROWS = [
      RatFunc.monomial((6, 4, 2))),
     ("l1^2-theta*l2*l3", "{l1^3*l2^2*l3^2}:theta", 7,
      {(1, 1): 1, (1, 2): 1, (2, 1): 1, (1, 3): 1, (3, 1): 1, (2, 3): 1, (3, 2): 1},
-     RatFunc.monomial((4, 4, 4), theta_power(1))),
+     RatFunc.monomial((4, 4, 4), THETA)),
 ]
 
 TABLE4_ROWS = [

@@ -37,17 +37,6 @@ class Matrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def _rows_with(self, other: "Matrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return zip(self.entries, other.entries)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in self._rows_with(other)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in self._rows_with(other)])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -77,9 +66,6 @@ class Matrix:
         """self + s*I."""
         rows = enumerate(self.entries)
         return Matrix([[a + s if i == j else a for j, a in enumerate(r)] for i, r in rows])
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

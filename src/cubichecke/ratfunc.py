@@ -141,11 +141,6 @@ class RatFunc:
             n >>= 1
         return out
 
-    def scale(self, c: Cyclotomic) -> "RatFunc":
-        if c.is_zero():
-            return RatFunc.zero()
-        return RatFunc(self.num.scale(c), fac=dict(self.fac))
-
     # -- cancellation and normalization ----------------------------------------------
 
     def _auto(self) -> "RatFunc":
@@ -210,10 +205,6 @@ class RatFunc:
         if self.fac == other.fac:
             return self.num == other.num
         return self._addsub(other, True).num.is_zero()
-
-    def __hash__(self):
-        r = self.reduce()
-        return hash((frozenset(r.num.terms.items()), frozenset(r.den.terms.items())))
 
     # -- maps --------------------------------------------------------------------------
 

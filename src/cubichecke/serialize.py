@@ -90,10 +90,6 @@ def label_to_json(label: ModuleLabel) -> dict:
     out = {"level": label.level, "exps": list(label.exps), "name": label.name}
     if label.theta:
         out["theta"] = label.theta
-    if label.star:
-        out["star"] = True
-    if label.bar is not None:
-        out["bar"] = list(label.bar)
     return out
 
 

@@ -39,7 +39,7 @@ from .errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from .laurent import LaurentPoly, exact_div
 from .matrix import Matrix, components
 from .ratfunc import RatFunc
-from .specialize import BinomialLocus, Specialization, Substitution
+from .specialize import BinomialLocus
 
 
 # -- semisimplicity (Theorem A) --------------------------------------------------------
@@ -98,7 +98,6 @@ def classify_ideals(ideals) -> SemisimplicityReport:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    ideal: PrimeIdealSpec
     classes: tuple               # nontrivial linked classes, each ordered
     singletons: tuple
     congruence_classes: tuple    # the raw central-character classes
@@ -152,7 +151,6 @@ def blocks(p: PrimeIdealSpec) -> BlockDecomposition:
     classes.sort(key=lambda c: tuple(l.name for l in c))
     congruence.sort(key=lambda c: tuple(l.name for l in c))
     return BlockDecomposition(
-        p,
         tuple(classes),
         tuple(sorted(singletons, key=_delta_sort_key)),
         tuple(congruence),
@@ -178,8 +176,6 @@ class CompositionFactor:
 
 @dataclass(frozen=True)
 class CompositionSeries:
-    parent: ModuleLabel
-    ideal: PrimeIdealSpec | None
     orientation: str
     factors: tuple             # ordered submodule first
     route: str                 # "trivial" | "assembly"
@@ -281,7 +277,7 @@ def composition_series(
     if p not in vanishing_for_module(g4):
         spec = spec_for(g4)
         factor = CompositionFactor(g4, spec.dim, tuple(range(spec.dim)), spec.weight_multiset())
-        return CompositionSeries(g4, p, orientation, (factor,), "trivial")
+        return CompositionSeries(orientation, (factor,), "trivial")
     g = assemble(g4, p.param)
     mats = g.matrices
     if orientation == "transpose":
@@ -293,7 +289,7 @@ def composition_series(
         label = _identify(_candidate_pool(), g4, p, len(comp), weights)
         factors.append(CompositionFactor(label, len(comp), tuple(comp), weights))
     return CompositionSeries(
-        g4, p, orientation, tuple(factors), "assembly",
+        orientation, tuple(factors), "assembly",
         {"gauge": g.gauge, "chain": [f.indices for f in factors]},
     )
 
@@ -326,29 +322,23 @@ def _unit_exps(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class ExactSequence:
-    ideal: PrimeIdealSpec
     labels: tuple                  # ordered module labels
     factor_chain: tuple            # factor labels K_0 .. K_r with V_i = K_{i-1} + K_i
 
-    def __str__(self):
-        return "0 -> " + " -> ".join(l.name for l in self.labels) + " -> 0"
-
 
 def exact_sequence(p: PrimeIdealSpec, class_labels) -> ExactSequence:
-    """The exact sequence carried by one block class, with factor matching.
+    """The exact sequence carried by one block class (two or more linked
+    labels, as ``blocks`` returns them), with factor matching.
 
     Every module's series is computed mod p; per-module transpose freedom is
     resolved so that the submodule of each term equals the quotient of its
     predecessor.  Raises on inconsistent factor matching.
     """
-    if len(class_labels) == 1:
-        lbl = class_labels[0]
-        return ExactSequence(p, (lbl,), (lbl,))
     series = {lbl: composition_series(lbl, p).factor_labels for lbl in class_labels}
     for direction in (tuple(class_labels), tuple(reversed(class_labels))):
         chain = _match_chain(direction, series)
         if chain is not None:
-            return ExactSequence(p, direction, chain)
+            return ExactSequence(direction, chain)
     raise CubicHeckeError(
         "no consistent exact sequence for class %s mod %s"
         % ([l.name for l in class_labels], p.name)
@@ -664,7 +654,6 @@ def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:
 
 @dataclass(frozen=True)
 class K3Report:
-    context: str
     entries: tuple                # census of simple level-3 labels
     sequences: tuple              # ExactSequence-like tuples of level-3 labels
 
@@ -673,35 +662,24 @@ class K3Report:
         return sum(sum(l.exps) ** 2 for l in self.entries)
 
 
-def k3_structure(p: PrimeIdealSpec | None = None, point=None) -> K3Report:
+def k3_structure(p: PrimeIdealSpec | None = None) -> K3Report:
     """Blocks, sequences and census of the three-strand algebra."""
-    if point is None and p is None:
-        return K3Report("generic", tuple(s.label for s in catalog_regular(3)), ())
+    if p is None:
+        return K3Report(tuple(s.label for s in catalog_regular(3)), ())
+    if p.family == "diff":
+        raise ValueError("distinct eigenvalues are assumed")
     found: dict = {}
     sequences = []
-    if point is not None:
-        _check_point(point)
-        locus = Specialization(
-            tuple(Substitution(k, c, (0, 0, 0)) for k, c in enumerate(point)), ()
-        )
-        for s in catalog_regular(3):
-            for lbl in k3_factors_mod(locus, s.label):
+    for s in catalog_regular(3):
+        if p in vanishing_for_k3(s.label):
+            series = _k3_series(s.label, p)
+            for lbl in series:
                 found.setdefault(lbl.name, lbl)
-        context = "point"
-    else:
-        if p.family == "diff":
-            raise ValueError("distinct eigenvalues are assumed")
-        for s in catalog_regular(3):
-            if p in vanishing_for_k3(s.label):
-                series = _k3_series(s.label, p)
-                for lbl in series:
-                    found.setdefault(lbl.name, lbl)
-                sequences.append((s.label, series))
-            else:
-                found.setdefault(s.label.name, s.label)
-        context = "ideal(%s)" % p.name
+            sequences.append((s.label, series))
+        else:
+            found.setdefault(s.label.name, s.label)
     entries = tuple(sorted(found.values(), key=lambda l: (-sum(l.exps), l.name)))
-    return K3Report(context, entries, tuple(sequences))
+    return K3Report(entries, tuple(sequences))
 
 
 def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:

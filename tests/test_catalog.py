@@ -22,7 +22,7 @@ from cubichecke.catalog import (
     vanishing_for_k3,
     vanishing_for_module,
 )
-from cubichecke.cyclotomic import theta_power
+from cubichecke.cyclotomic import THETA, THETA2
 from cubichecke.expr import parse_label
 from cubichecke.ratfunc import RatFunc
 from cubichecke.serialize import canonical_dumps, poly_to_json
@@ -40,7 +40,7 @@ def test_census_dimensions():
 def test_nine_dim_row():
     spec = spec_for(label4((3, 3, 3), 1))
     assert spec.dim == 9
-    assert spec.delta_sq == RatFunc.monomial((4, 4, 4), theta_power(1))
+    assert spec.delta_sq == RatFunc.monomial((4, 4, 4), THETA)
     assert spec.weight_multiset() == {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)}
 
 
@@ -174,7 +174,7 @@ def test_ideal_for_generator_up_to_unit():
     from cubichecke.laurent import LaurentPoly
 
     gen = ideal_by_name("l1+theta*l2").generator
-    scaled = gen.mul_monomial((1, 0, -2), theta_power(2))
+    scaled = gen.mul_monomial((1, 0, -2), THETA2)
     assert ideal_for_generator(scaled).name == "l1+theta*l2"
 
 

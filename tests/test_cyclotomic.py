@@ -15,7 +15,6 @@ from cubichecke.cyclotomic import (
     THETA2,
     ZERO,
     ZETA,
-    theta_power,
 )
 
 rationals = st.fractions(
@@ -29,6 +28,12 @@ def rat(p, q=1) -> Cyclotomic:
     return Cyclotomic.from_rational(Fraction(p, q))
 
 
+def rational_value(c: Cyclotomic) -> Fraction:
+    """A rational element as a Fraction; it must have no z, z^2 or z^3 part."""
+    assert not any(c.n[1:]), "not a rational element: %r" % (c,)
+    return Fraction(c.n[0], c.d)
+
+
 def test_theta_is_a_primitive_cube_root():
     assert THETA * THETA * THETA == ONE
     assert THETA != ONE
@@ -39,14 +44,6 @@ def test_theta_is_a_primitive_cube_root():
 def test_i_is_a_fourth_root():
     assert I_UNIT * I_UNIT == MINUS_ONE
     assert I_UNIT ** 4 == ONE
-
-
-def test_theta_power():
-    assert theta_power(0) == ONE
-    assert theta_power(1) == THETA
-    assert theta_power(2) == THETA2
-    assert theta_power(3) == ONE
-    assert theta_power(5) == THETA2
 
 
 def test_division():

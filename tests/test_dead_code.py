@@ -1,19 +1,22 @@
-"""Every library definition is used by the program: no name in ``src/cubichecke``
-may have its own definition as its only whole-word occurrence across the
-library and the benchmark driver (a use in the tests alone does not count).
+"""Every library definition is used by the program: each name defined in
+``src/cubichecke`` is referenced from the library or the benchmark driver (a
+use in the tests alone does not count, nor does a docstring or a comment).
 Every module-level import of a library module is used in that module, every
-dataclass of the library is frozen, and every dataclass field of the library
-is read as an attribute somewhere."""
+dataclass of the library is frozen, every dataclass field of the library is
+read as an attribute by the program, and every parameter default is
+overridden by some call in the program."""
 
 import ast
 import math
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "cubichecke"
-SEARCHED = ("src", "tests", "perfbench")
 PROGRAM = ("src", "perfbench")
+
+
+def _program_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _is_dunder(name: str) -> bool:
@@ -48,15 +51,58 @@ def _definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if not _is_dunder(n)]
 
 
+def _referenced_names(trees) -> set[str]:
+    """Names loaded as ``name`` or ``x.name``, bound by an import, or spelled
+    as a whole string constant (the benchmark tracer names layers by string)."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _unused_definitions(library: dict, program) -> list[str]:
+    """``module.name`` for each definition of the library sources (module stem
+    -> tree) that no program tree references."""
+    referenced = _referenced_names(program)
+    return [
+        "%s.%s" % (stem, name)
+        for stem, tree in sorted(library.items())
+        for name in _definitions(tree)
+        if name not in referenced
+    ]
+
+
 def test_no_unused_definitions():
-    sources = [p.read_text() for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py"))]
-    unused = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        for name in _definitions(ast.parse(path.read_text())):
-            word = re.compile(r"\b%s\b" % re.escape(name))
-            if sum(len(word.findall(text)) for text in sources) <= 1:
-                unused.append("%s.%s" % (path.stem, name))
+    library = {p.stem: ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")}
+    unused = _unused_definitions(library, _program_trees())
     assert not unused, "defined but never used: %s" % ", ".join(unused)
+
+
+def test_unused_definitions_count_code_references_only():
+    lib = ast.parse(
+        '''"""The helpers: docstring_only is named here and nowhere else."""
+
+def docstring_only():
+    pass
+
+def by_string():
+    pass
+
+class Holder:
+    def by_attribute(self):
+        pass
+'''
+    )
+    caller = ast.parse('LAYER = ("lib", "by_string")\nHolder().by_attribute()\n')
+    assert _unused_definitions({"lib": lib}, [lib, caller]) == ["lib.docstring_only"]
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -129,9 +175,8 @@ def _read_attributes(tree: ast.Module) -> set[str]:
 
 def test_no_unread_dataclass_fields():
     read = set()
-    for d in SEARCHED:
-        for p in sorted((ROOT / d).rglob("*.py")):
-            read |= _read_attributes(ast.parse(p.read_text()))
+    for tree in _program_trees():
+        read |= _read_attributes(tree)
     unread = []
     for path in sorted(LIBRARY.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -178,16 +223,15 @@ def _passed_parameters() -> tuple[dict, dict]:
     ``**kwargs`` as every keyword (the keyword None)."""
     positions: dict = {}
     keywords: dict = {}
-    for d in SEARCHED:
-        for p in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(ast.parse(p.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
-                positions[name] = max(positions.get(name, 0), n)
-                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            n = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), n)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
     return positions, keywords
 
 

@@ -10,7 +10,7 @@ from cubichecke.catalog import (
     label3,
     label4,
 )
-from cubichecke.cyclotomic import theta_power
+from cubichecke.cyclotomic import THETA
 from cubichecke.errors import HypothesisViolated, PathBasisUnavailable
 from cubichecke.jm import (
     AB2BlockSpec,
@@ -82,7 +82,7 @@ def test_block_spec_level3():
 
 def test_block_spec_9dim_delta():
     b = block_spec(label2(1), label4((3, 3, 3), 1), 3)
-    assert b.delta == RatFunc.monomial((6, 4, 4), theta_power(1))
+    assert b.delta == RatFunc.monomial((6, 4, 4), THETA)
 
 
 def test_diag_sums_to_one_and_matrix_relations():
@@ -102,7 +102,7 @@ def test_diag_sums_to_one_and_matrix_relations():
     minpoly = Matrix.diagonal([ONE] * n)
     for ev, _m in b.a_spectrum:
         minpoly = minpoly * a.add_scalar(-ev)
-    assert minpoly.is_zero()
+    assert minpoly == Matrix.zero(n, n)
     assert a == ab2_matrix_closed_form(b, L3)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cubichecke.catalog import ideal_by_name
-from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
+from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, THETA2
 from cubichecke.errors import PoleOnLocus
 from cubichecke.laurent import LaurentPoly
 from cubichecke.ratfunc import RatFunc
@@ -23,7 +23,7 @@ def test_generator_maps_to_zero():
 def test_monomial_substitution_kills_quadratic_generator():
     gen = LaurentPoly.monomial((2, 0, 0)) - LaurentPoly.monomial((0, 1, 1), THETA)
     s = Specialization(
-        (Substitution(2, theta_power(2), (2, -1, 0)),), (gen,)
+        (Substitution(2, THETA2, (2, -1, 0)),), (gen,)
     )
     assert s.apply_poly(gen).is_zero()
     assert s.apply_poly(LaurentPoly.monomial((3, 0, 0)) - LaurentPoly.monomial((0, 2, 1))).is_zero() is False

@@ -12,7 +12,7 @@ from cubichecke.catalog import (
     label4,
     vanishing_for_module,
 )
-from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, theta_power
+from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, THETA2
 from cubichecke.errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
 from cubichecke.structure import (
     blocks,
@@ -51,7 +51,7 @@ def test_classify_rejects_zero_coordinate():
 
 def test_classify_double_locus_point():
     # (1, -theta^2, theta): l1 + theta l2 = 0 and l2 + theta l3 = 0
-    pt = (ONE, -theta_power(2), THETA)
+    pt = (ONE, -THETA2, THETA)
     report = classify_point(pt)
     names = {v.name for v in report.vanishing}
     assert "l1+theta*l2" in names and "l2+theta*l3" in names
@@ -200,18 +200,28 @@ def test_split_on_locus_regular_stays():
     assert split_on_locus(p.param, label4((4, 2, 2))) == (label4((4, 2, 2)),)
 
 
-def test_k3_point_census():
-    from cubichecke.cyclotomic import Cyclotomic
+def _point_locus(point) -> Specialization:
+    return Specialization(tuple(Substitution(k, c, (0, 0, 0)) for k, c in enumerate(point)), ())
 
-    rep = k3_structure(point=(Cyclotomic(2), Cyclotomic(3), Cyclotomic(5)))
-    assert len(rep.entries) == 7
+
+def _k3_point_census(point) -> list:
+    """The simple level-3 factors of every regular level-3 module at the point."""
+    locus = _point_locus(point)
+    found: dict = {}
+    for s in catalog_regular(3):
+        for lbl in k3_factors_mod(locus, s.label):
+            found.setdefault(lbl.name, lbl)
+    return list(found.values())
+
+
+def test_k3_point_census():
+    assert len(_k3_point_census((Cyclotomic(2), Cyclotomic(3), Cyclotomic(5)))) == 7
     # the coincidence locus: l1 = -theta l2, l2 = -theta l3 leaves 1-dims
     # and the one surviving 2-dim module
-    pt = (ONE, -theta_power(2), THETA)
-    rep = k3_structure(point=pt)
-    dims = sorted(sum(l.exps) for l in rep.entries)
+    entries = _k3_point_census((ONE, -THETA2, THETA))
+    dims = sorted(sum(l.exps) for l in entries)
     assert dims == [1, 1, 1, 2]
-    assert any(l.name == "l1*l3" for l in rep.entries)
+    assert any(l.name == "l1*l3" for l in entries)
 
 
 @pytest.mark.parametrize(
@@ -224,15 +234,8 @@ def test_k3_point_census():
 )
 def test_k3_sq_plus_splits_off_the_squared_eigenvalue(point, factors):
     # l_i^2 + l_j*l_k vanishes at the point: l_i splits off, {j, k} stays together
-    locus = Specialization(
-        tuple(Substitution(k, Cyclotomic(c), (0, 0, 0)) for k, c in enumerate(point)), ()
-    )
+    locus = _point_locus(tuple(map(Cyclotomic, point)))
     assert [l.name for l in k3_factors_mod(locus, label3((1, 1, 1)))] == factors
-
-
-def test_k3_point_rejects_zero_coordinate():
-    with pytest.raises(ValueError):
-        k3_structure(point=(Cyclotomic(), Cyclotomic(3), Cyclotomic(5)))
 
 
 def test_invariant_chain_sinks_first():
@@ -243,14 +246,6 @@ def test_invariant_chain_sinks_first():
     # v0 -> v2 and v2 <-> v1: the sink class {1, 2} comes first
     m = Matrix([[o, z, z], [z, o, o], [o, o, o]])
     assert invariant_chain([m]) == [[1, 2], [0]]
-
-
-def test_exact_sequence_singleton_is_trivial():
-    p = ideal_by_name("l1+theta*l2")
-    b = blocks(p)
-    seq = exact_sequence(p, (b.singletons[0],))
-    assert seq.labels == (b.singletons[0],)
-    assert seq.factor_chain == (b.singletons[0],)
 
 
 # -- pins: every Table-2 series, every level-3 report, every ideal pair ------------------
@@ -303,7 +298,7 @@ def test_k3_reports_pinned():
     lines = []
     for p in _non_diff_ideals():
         rep = k3_structure(p)
-        lines.append("%s %s" % (rep.context, [l.name for l in rep.entries]))
+        lines.append("ideal(%s) %s" % (p.name, [l.name for l in rep.entries]))
         for g3, series in rep.sequences:
             lines.append("  %s %s" % (g3.name, [l.name for l in series]))
     assert sum(not line.startswith("  ") for line in lines) == 30

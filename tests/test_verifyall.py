@@ -79,12 +79,13 @@ def test_fast_assembly_names_a_broken_relation(monkeypatch, gen, named):
     from cubichecke.catalog import label4
     from cubichecke.cyclotomic import Cyclotomic
     from cubichecke.matrix import Matrix
+    from cubichecke.ratfunc import RatFunc
 
     label = label4((2, 1, 0))
     before = assemble_generic(label).matrices[gen]
     g = assemble(label)
     rows = [list(row) for row in g.matrices[gen].entries]
-    rows[0][0] = rows[0][0].scale(Cyclotomic(2))
+    rows[0][0] = rows[0][0] * RatFunc.const(Cyclotomic(2))
     tampered = dataclasses.replace(g, matrices={**g.matrices, gen: Matrix(rows)})
     monkeypatch.setattr(verifyall, "assemble_generic", lambda lbl, gauge="row": tampered)
 
