@@ -1,8 +1,10 @@
 """Assembly of the braid generator matrices of a regular module in its path basis.
 
-S1 is diagonal (the eigenvalue along each path), S2 and S3 are block diagonal
-with blocks reconstructed from their projection data.  The blocks fix each
-generator only up to a diagonal rescaling of the basis; the braid relation
+The label's level says which algebra: a level-4 module has S1, S2 and S3, a
+level-3 module S1 and S2.  S1 is diagonal (the eigenvalue along each path),
+S2 and S3 are block diagonal with blocks reconstructed from their projection
+data; at level 3, S2 is a single block.  The blocks fix each generator only
+up to a diagonal rescaling of the basis; at level 4 the braid relation
 between S2 and S3 pins the remaining freedom.  The solver works with one
 scalar per path: a spanning forest of the bipartite path graph (level-3
 constituents versus level-2 labels) is pinned to 1, and the few remaining
@@ -148,18 +150,20 @@ def _on_locus(mats, ctx: Specialization) -> tuple[dict, tuple]:
 
 @lru_cache(maxsize=None)
 def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
-    """Generic-field assembly: blocks in canonical gauge plus the solved
-    diagonal rescaling enforcing the braid relation.
+    """Generic-field assembly: blocks in canonical gauge plus, at level 4, the
+    solved diagonal rescaling enforcing the braid relation.  A level-3 module
+    is one S2 block with nothing to solve.
 
     Returns the cache entry itself, one per label and gauge; it is read-only,
     so every caller can share it.
     """
-    if label.level != 4:
-        raise ValueError("assemble expects a level-4 label")
-    paths = enumerate_paths(label)
+    paths = block_spec(None, label, 2).paths if label.level == 3 else enumerate_paths(label)
     n = len(paths)
     lam = [RatFunc.var(k) for k in range(3)]
     s1 = Matrix.diagonal([lam[t.eigen_index - 1] for t in paths])
+    if label.level == 3:
+        s2 = _generic_block("s2", None, label, "row")
+        return GeneratorSet(label, paths, {1: s1, 2: s2}, None, gauge, {"pinned": n})
     s2 = _block_diag(n, [(idx, _generic_block("s2", None, paths[idx[0]].g3, "row"))
                          for idx in _groups(paths, "g3")])
     s3 = _block_diag(n, [(idx, _generic_block("s3", paths[idx[0]].g2, label, gauge))
@@ -170,14 +174,15 @@ def assemble_generic(label: ModuleLabel, gauge: str = "row") -> GeneratorSet:
 
 
 def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str = "row") -> GeneratorSet:
-    """Build the generator matrices of a level-4 regular module.
+    """Build the generator matrices of a regular module: S1 and S2 at level 3,
+    S1, S2 and S3 at level 4.
 
     Generic assembly happens once per label and gauge; a specialization then
     rescales the path basis into the locus-adapted gauge (powers of the ideal
     generators clearing every entry pole) and maps the entries.  The locus may
     only fail through PathBasisUnavailable (length-3 center eigenvalues
-    collide inside a block, breaking the path basis) or PoleOnLocus (no
-    adapted gauge exists there).
+    collide inside a level-4 block, breaking the path basis) or PoleOnLocus
+    (no adapted gauge exists there).
 
     The returned set is read-only and may be shared: with no specialization
     it is the generic cache entry itself.
@@ -186,26 +191,12 @@ def assemble(label: ModuleLabel, ctx: Specialization | None = None, gauge: str =
     if ctx is None:
         return base
     paths = base.basis
-    for idx in _groups(paths, "g2"):
-        block_spec(paths[idx[0]].g2, label, 3).check_x_distinct(ctx)
+    if label.level == 4:
+        for idx in _groups(paths, "g2"):
+            block_spec(paths[idx[0]].g2, label, 3).check_x_distinct(ctx)
     mats, adaptation = _on_locus(base.matrices, ctx)
     certificate = {**base.certificate, "adapted_powers": adaptation}
     return GeneratorSet(label, paths, mats, ctx, gauge, certificate)
-
-
-def assemble_k3(label: ModuleLabel, ctx: Specialization | None = None) -> GeneratorSet:
-    """Build the two generator matrices of a level-3 regular module.
-
-    The returned set is read-only; its S2 is the cached block itself.
-    """
-    if label.level != 3:
-        raise ValueError("assemble_k3 expects a level-3 label")
-    paths = block_spec(None, label, 2).paths
-    s1 = Matrix.diagonal([RatFunc.var(t.eigen_index - 1) for t in paths])
-    mats = {1: s1, 2: _generic_block("s2", None, label, "row")}
-    if ctx is not None:
-        mats = _on_locus(mats, ctx)[0]
-    return GeneratorSet(label, paths, mats, ctx, "row", {"pinned": len(paths)})
 
 
 # -- gauge solving ------------------------------------------------------------------

@@ -463,18 +463,15 @@ def perm_ideal(p, spec: PrimeIdealSpec) -> PrimeIdealSpec:
 
 
 @lru_cache(maxsize=None)
-def vanishing_for_module(g4: ModuleLabel) -> tuple:
-    """The Table-2 row of the module: ideals where it fails to be semisimple."""
+def vanishing_for_module(label: ModuleLabel) -> tuple:
+    """The Table-2 row of the module: ideals where it fails to be semisimple.
+    A level-3 module has the row of the level-4 module with its exponents."""
+    g4 = label4(label.exps) if label.level == 3 else label
     for base, row in _BASE4:
         for p in PERMS:
             if perm_label(p, base.label) == g4:
                 return tuple(perm_ideal(p, ideal_by_name(name)) for name in row)
-    raise KeyError("unknown level-4 label %s" % g4)
-
-
-def vanishing_for_k3(g3: ModuleLabel) -> tuple:
-    """The row of a level-3 module: that of the level-4 module with its exponents."""
-    return vanishing_for_module(label4(g3.exps))
+    raise KeyError("unknown regular label %s" % label)
 
 
 # -- exceptional simple modules (Table 3) -------------------------------------------

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic
 from .errors import PoleOnLocus
 from .laurent import LaurentPoly, divides, monomial_name
+from .matrix import Matrix
 from .ratfunc import RatFunc
 
 
@@ -93,18 +94,7 @@ class Specialization:
         return RatFunc(self.apply_poly(r.num), den)
 
     def apply_matrix(self, m):
-        from .matrix import Matrix
-
-        out = []
-        for row in m.entries:
-            new_row = []
-            for a in row:
-                try:
-                    new_row.append(self.apply_ratfunc(a))
-                except PoleOnLocus:
-                    raise PoleOnLocus(a)
-            out.append(new_row)
-        return Matrix(out)
+        return Matrix([[self.apply_ratfunc(a) for a in row] for row in m.entries])
 
     def vanishes(self, p: LaurentPoly) -> bool:
         return self.apply_poly(p).is_zero()

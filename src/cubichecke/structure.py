@@ -1,17 +1,19 @@
 """Classification engine: semisimplicity, blocks, composition series, census.
 
-The single-ideal machinery assembles a module over the ideal's parametrized
-locus and reads its composition series off the invariant chain of the
-generators (``invariant_chain``, shared with the level-3 algebra); factors are
-identified against the catalog by dimension, central scalar, and weight data.
-Assembly is the only route to a nontrivial series: every Table-2 pair
-assembles in the row gauge, and an assembly failure propagates.
+The single-ideal machinery assembles a module, at level 3 or 4, over the
+ideal's parametrized locus and reads its composition series off the invariant
+chain of the generators; factors are identified against the catalog of the
+label's level by dimension, central scalar, and weight data.  Assembly is the
+only route to a nontrivial series: every Table-2 pair assembles in the row
+gauge, and an assembly failure propagates.
 
-The two-ideal census composes parametrizations branch by branch and
-decomposes iteratively, mirroring the uniqueness key of the catalogued simple
-modules; a branch whose residue field needs a square root outside Q(zeta12)
-is its base locus plus one prime binomial, tested for vanishing by
-divisibility (never assembled).
+``split_on_locus`` reads the simple factors of a module on any locus, one
+ideal or a branch of two, at either level, through the cached
+``single_ideal_factors``; one loop over it builds every census.  A two-ideal
+locus is composed branch by branch and decomposed iteratively, mirroring the
+uniqueness key of the catalogued simple modules; a branch whose residue field
+needs a square root outside Q(zeta12) is its base locus plus one prime
+binomial, tested for vanishing by divisibility (never assembled).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .builder import assemble, assemble_k3, path_weights
+from .builder import assemble, path_weights
 from .catalog import (
     ModuleLabel,
     PrimeIdealSpec,
@@ -27,11 +29,9 @@ from .catalog import (
     delta_scalar,
     exceptional_catalog,
     ideal_catalog,
-    label3,
     module_spec,
     parametrize,
     spec_for,
-    vanishing_for_k3,
     vanishing_for_module,
 )
 from .cyclotomic import ZETA
@@ -255,66 +255,48 @@ def _identify(pool, parent: ModuleLabel, p: PrimeIdealSpec, dim: int, weights: d
 
 
 @lru_cache(maxsize=None)
-def _candidate_pool() -> tuple:
-    return catalog_regular(4) + exceptional_catalog()
+def _candidate_pool(level: int) -> tuple:
+    """What a factor at the level can be: the regular modules, and at level 4
+    also the exceptional ones."""
+    return catalog_regular(level) + (exceptional_catalog() if level == 4 else ())
 
 
 def composition_series(
-    g4: ModuleLabel, p: PrimeIdealSpec, orientation: str = "as-given"
+    label: ModuleLabel, p: PrimeIdealSpec, orientation: str = "as-given"
 ) -> CompositionSeries:
-    """Composition series of a regular module over the quotient field of p.
+    """Composition series of a regular module, at level 3 or 4, over the
+    quotient field of p.
 
     A module that stays simple mod p (p outside its Table-2 row) is its own
     series.  Otherwise the module is assembled over the parametrized locus in
     the row gauge and its series is the invariant chain of the generators;
-    each factor is identified against the catalog by dimension, weights and
-    central scalar.  An assembly or identification failure propagates.
+    each factor is identified against the catalog of its level by dimension,
+    weights (read off S3, or S1 at level 3) and central scalar.  An assembly
+    or identification failure propagates.
     """
     if orientation not in ("as-given", "transpose"):
         raise ValueError("orientation must be 'as-given' or 'transpose'")
     if p.family == "diff":
         raise ValueError("composition series are not defined over li - lj")
-    if p not in vanishing_for_module(g4):
-        spec = spec_for(g4)
-        factor = CompositionFactor(g4, spec.dim, tuple(range(spec.dim)), spec.weight_multiset())
+    if p not in vanishing_for_module(label):
+        spec = spec_for(label)
+        factor = CompositionFactor(label, spec.dim, tuple(range(spec.dim)), spec.weight_multiset())
         return CompositionSeries(orientation, (factor,), "trivial")
-    g = assemble(g4, p.param)
+    g = assemble(label, p.param)
     mats = g.matrices
     if orientation == "transpose":
         mats = {k: m.transpose() for k, m in mats.items()}
     lams = g.eigenvalues()
+    weight_gen = mats[3 if label.level == 4 else 1]
     factors = []
     for comp in invariant_chain([mats[i] for i in sorted(mats)]):
-        weights = path_weights(g.basis, mats[3], comp, lams)
-        label = _identify(_candidate_pool(), g4, p, len(comp), weights)
-        factors.append(CompositionFactor(label, len(comp), tuple(comp), weights))
+        weights = path_weights(g.basis, weight_gen, comp, lams)
+        factor = _identify(_candidate_pool(label.level), label, p, len(comp), weights)
+        factors.append(CompositionFactor(factor, len(comp), tuple(comp), weights))
     return CompositionSeries(
         orientation, tuple(factors), "assembly",
         {"gauge": g.gauge, "chain": [f.indices for f in factors]},
     )
-
-
-def k3_factors_mod(locus, g3: ModuleLabel) -> tuple:
-    """Multiset of simple level-3 composition factors of a generic level-3
-    module over the locus."""
-    for i, spec in enumerate(vanishing_for_k3(g3)):
-        if not locus.vanishes(spec.generator):
-            continue
-        if sum(g3.exps) == 2:
-            return tuple(label3(_unit_exps(k)) for k, e in enumerate(g3.exps) if e)
-        # row entry i is l_i^2 + l_j l_k: the pair {j, k} stays together, l_i splits off
-        sub = tuple(0 if k == i else 1 for k in range(3))
-        return tuple(
-            sorted(
-                k3_factors_mod(locus, label3(sub)) + (label3(_unit_exps(i)),),
-                key=lambda l: l.name,
-            )
-        )
-    return (g3,)
-
-
-def _unit_exps(k: int) -> tuple:
-    return tuple(1 if x == k else 0 for x in range(3))
 
 
 # -- exact sequences ---------------------------------------------------------------------
@@ -334,7 +316,7 @@ def exact_sequence(p: PrimeIdealSpec, class_labels) -> ExactSequence:
     resolved so that the submodule of each term equals the quotient of its
     predecessor.  Raises on inconsistent factor matching.
     """
-    series = {lbl: composition_series(lbl, p).factor_labels for lbl in class_labels}
+    series = {lbl: single_ideal_factors(lbl, p) for lbl in class_labels}
     for direction in (tuple(class_labels), tuple(reversed(class_labels))):
         chain = _match_chain(direction, series)
         if chain is not None:
@@ -366,7 +348,7 @@ def _match_chain(order, series) -> tuple | None:
                 return None
         else:
             return None
-    if series[order[-1]] != (chain[-1],) and len(series[order[-1]]) != 1:
+    if len(series[order[-1]]) != 1:
         return None
     alt = 0
     for k, lbl in enumerate(order):
@@ -409,14 +391,16 @@ def census_generic() -> Census:
 def census_single(p: PrimeIdealSpec) -> Census:
     if p.family == "diff":
         raise ValueError("the eigenvalues are assumed pairwise distinct")
+    return _census("ideal(%s)" % p.name, p.param)
+
+
+def _census(context: str, locus, branch: str = "") -> Census:
+    """The simple factors of every regular level-4 module on the locus."""
     found: dict = {}
     for spec in catalog_regular(4):
-        if p in vanishing_for_module(spec.label):
-            for lbl in composition_series(spec.label, p).factor_labels:
-                found.setdefault(lbl.name, lbl)
-        else:
-            found.setdefault(spec.label.name, spec.label)
-    return Census("ideal(%s)" % p.name, _census_entries(found.values()))
+        for lbl in split_on_locus(locus, spec.label):
+            found.setdefault(lbl.name, lbl)
+    return Census(context, _census_entries(found.values()), branch)
 
 
 def _census_entries(labels) -> tuple:
@@ -545,7 +529,7 @@ def _simple_on(locus, spec) -> bool:
 def _k3_content_mod(locus, spec):
     return tuple(
         sorted(
-            sum((list(k3_factors_mod(locus, g3)) for g3 in spec.restriction), []),
+            sum((list(split_on_locus(locus, g3)) for g3 in spec.restriction), []),
             key=lambda l: l.name,
         )
     )
@@ -556,7 +540,7 @@ def _finest_cover(locus, spec):
     candidates with matching central scalar and K3 content, as labels, or None."""
     weights = spec.weight_multiset()
     candidates = []
-    for cand in _candidate_pool():
+    for cand in _candidate_pool(4):
         if cand.dim >= spec.dim:
             continue
         if not _valid_on(locus, cand):
@@ -633,20 +617,8 @@ def split_on_locus(locus, label: ModuleLabel) -> tuple:
 
 def census_pair(p1: PrimeIdealSpec, p2: PrimeIdealSpec) -> list[Census]:
     """Census over every branch of a compatible ideal pair (Table-4 engine)."""
-    out = []
-    for branch in compose_pair(p1, p2):
-        found: dict = {}
-        for spec in catalog_regular(4):
-            for lbl in split_on_locus(branch.locus, spec.label):
-                found.setdefault(lbl.name, lbl)
-        out.append(
-            Census(
-                "ideals(%s, %s)" % (p1.name, p2.name),
-                _census_entries(found.values()),
-                branch.description,
-            )
-        )
-    return out
+    context = "ideals(%s, %s)" % (p1.name, p2.name)
+    return [_census(context, b.locus, b.description) for b in compose_pair(p1, p2)]
 
 
 # -- the level-3 algebra ------------------------------------------------------------------------
@@ -671,8 +643,8 @@ def k3_structure(p: PrimeIdealSpec | None = None) -> K3Report:
     found: dict = {}
     sequences = []
     for s in catalog_regular(3):
-        if p in vanishing_for_k3(s.label):
-            series = _k3_series(s.label, p)
+        if p in vanishing_for_module(s.label):
+            series = single_ideal_factors(s.label, p)
             for lbl in series:
                 found.setdefault(lbl.name, lbl)
             sequences.append((s.label, series))
@@ -680,14 +652,3 @@ def k3_structure(p: PrimeIdealSpec | None = None) -> K3Report:
             found.setdefault(s.label.name, s.label)
     entries = tuple(sorted(found.values(), key=lambda l: (-sum(l.exps), l.name)))
     return K3Report(entries, tuple(sequences))
-
-
-def _k3_series(g3: ModuleLabel, p: PrimeIdealSpec) -> tuple:
-    g = assemble_k3(g3, p.param)
-    lams = g.eigenvalues()
-    labels = []
-    for comp in invariant_chain(g.generators()):
-        # a level-3 weight (i, i) pairs sigma1 with itself
-        weights = path_weights(g.basis, g.S1, comp, lams)
-        labels.append(_identify(catalog_regular(3), g3, p, len(comp), weights))
-    return tuple(labels)

@@ -59,6 +59,7 @@ from .structure import (
     composition_series,
     exact_sequence,
     k3_structure,
+    single_ideal_factors,
     split_on_locus,
 )
 
@@ -348,8 +349,7 @@ def check_table3():
         for spec in catalog_regular(4):
             if p not in vanishing_for_module(spec.label):
                 continue
-            series = composition_series(spec.label, p)
-            for f in series.factor_labels:
+            for f in single_ideal_factors(spec.label, p):
                 if f.name == factor_name:
                     found = f
         if found is None:
@@ -395,11 +395,9 @@ def check_k3():
     # double locus: l1 = -theta l2 and l2 = -theta l3 leaves one 2-dim simple
     pair = compose_pair(ideal_by_name("l1+theta*l2"), ideal_by_name("l2+theta*l3"))
     locus = pair[0].locus
-    from .structure import k3_factors_mod
-
     survivors = set()
     for s in catalog_regular(3):
-        for f in k3_factors_mod(locus, s.label):
+        for f in split_on_locus(locus, s.label):
             survivors.add((f.name, sum(f.exps)))
     dims = sorted(d for _n, d in survivors)
     if dims != [1, 1, 1, 2]:

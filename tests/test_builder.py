@@ -8,9 +8,7 @@ from cubichecke.builder import (
     HALF_TWIST,
     GeneratorSet,
     _solve_gauge,
-    alpha_scalar,
     assemble,
-    assemble_k3,
     delta4_weight_charpoly,
     eval_word,
     path_weights,
@@ -25,7 +23,6 @@ from cubichecke.catalog import (
     ideal_by_name,
     label3,
     label4,
-    spec_for,
 )
 from cubichecke.cyclotomic import Cyclotomic
 from cubichecke.errors import CubicHeckeError, GaugeInconsistent
@@ -67,13 +64,13 @@ def test_three_dim_s3_copies_s1():
 
 def test_k3_assembly():
     for exps in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
-        g = assemble_k3(label3(exps))
+        g = assemble(label3(exps))
         rep = verify(g)
         assert rep.all_passed
         names = [c.name for c in rep.checks]
         assert names == ["braid_S1_S2", "cubic_S1", "cubic_S2", "delta_sq_scalar"]
     ctx = ideal_by_name("l1^2+l2*l3").param
-    g = assemble_k3(label3((1, 1, 1)), ctx)
+    g = assemble(label3((1, 1, 1)), ctx)
     assert verify(g).all_passed
 
 
@@ -229,7 +226,7 @@ def test_assembly_results_are_read_only(kind):
     build = {
         "generic": lambda: assemble(lab),
         "locus": lambda: assemble(lab, ideal_by_name("l1+i*l2").param),
-        "level3": lambda: assemble_k3(label3((1, 1, 0))),
+        "level3": lambda: assemble(label3((1, 1, 0))),
     }[kind]
     g = build()
     with pytest.raises(TypeError):

@@ -1,7 +1,5 @@
 import hashlib
 
-import pytest
-
 from cubichecke.catalog import (
     PERMS,
     catalog_regular,
@@ -16,10 +14,8 @@ from cubichecke.catalog import (
     label4,
     perm_ideal,
     perm_label,
-    perm_poly,
     perm_ratfunc,
     spec_for,
-    vanishing_for_k3,
     vanishing_for_module,
 )
 from cubichecke.cyclotomic import THETA, THETA2
@@ -218,7 +214,7 @@ def _catalog_lines():
             lines.append("  delta %s" % _delta_text(spec.delta_sq))
             lines.append("  weights %r" % (spec.weights,))
             lines.append("  restriction %s" % [_label_text(g) for g in spec.restriction])
-            row = vanishing_for_module(spec.label) if level == 4 else vanishing_for_k3(spec.label)
+            row = vanishing_for_module(spec.label)
             lines.append("  row %s" % [p.name for p in row])
     for spec in exceptional_catalog():
         lines.append("exceptional %s dim %d" % (_label_text(spec.label), spec.dim))

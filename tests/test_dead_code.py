@@ -1,10 +1,10 @@
 """Every library definition is used by the program: each name defined in
 ``src/cubichecke`` is referenced from the library or the benchmark driver (a
 use in the tests alone does not count, nor does a docstring or a comment).
-Every module-level import of a library module is used in that module, every
-dataclass of the library is frozen, every dataclass field of the library is
-read as an attribute by the program, and every parameter default is
-overridden by some call in the program."""
+Every module-level import of a library or test module is used in that
+module, every dataclass of the library is frozen, every dataclass field of
+the library is read as an attribute by the program, and every parameter
+default is overridden by some call in the program."""
 
 import ast
 import math
@@ -118,7 +118,7 @@ def _imported_names(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(LIBRARY.glob("*.py")):
+    for path in sorted(LIBRARY.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text())
         loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused.extend(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubichecke.cyclotomic import Cyclotomic, ONE, THETA
+from cubichecke.cyclotomic import Cyclotomic, THETA
 from cubichecke.laurent import LaurentPoly, divides, exact_div, poly_gcd
 from test_cyclotomic import rational_value
 

@@ -116,7 +116,7 @@ def test_field_ops(a, b):
 
 @given(_ratfuncs(), _ratfuncs().filter(lambda r: not r.is_zero()), _ratfuncs())
 @settings(max_examples=100)
-def test_hash_agrees_with_eq(a, b, c):
+def test_equality_survives_round_trips_and_reduce(a, b, c):
     for other in ((a * b) / b, (a + c) - c, a.reduce()):
         assert other == a
 

@@ -6,6 +6,7 @@ from cubichecke.catalog import ideal_by_name
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, THETA2
 from cubichecke.errors import PoleOnLocus
 from cubichecke.laurent import LaurentPoly
+from cubichecke.matrix import Matrix
 from cubichecke.ratfunc import RatFunc
 from cubichecke.specialize import BinomialLocus, Specialization, Substitution
 from cubichecke.structure import _distinct_witness
@@ -73,6 +74,11 @@ def test_ratfunc_pole_detection():
     f = RatFunc(LaurentPoly.one(), L1 + L2)
     with pytest.raises(PoleOnLocus):
         s.apply_ratfunc(f)
+    # in a matrix, the error names the entry with the pole
+    zero = RatFunc.zero()
+    with pytest.raises(PoleOnLocus) as err:
+        s.apply_matrix(Matrix([[RatFunc.one(), zero], [zero, f]]))
+    assert err.value.what is f
     # a removable pole specializes fine
     g = RatFunc((L1 + L2) * L3, L1 + L2)
     assert s.apply_ratfunc(g) == s.apply_ratfunc(RatFunc.var(2))

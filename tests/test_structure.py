@@ -7,13 +7,12 @@ from cubichecke.catalog import (
     catalog_regular,
     ideal_by_name,
     ideal_catalog,
-    label2,
     label3,
     label4,
     vanishing_for_module,
 )
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, THETA2
-from cubichecke.errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
+from cubichecke.errors import CubicHeckeError, IncompatibleIdeals
 from cubichecke.structure import (
     blocks,
     census_generic,
@@ -25,7 +24,6 @@ from cubichecke.structure import (
     composition_series,
     exact_sequence,
     invariant_chain,
-    k3_factors_mod,
     k3_structure,
     split_on_locus,
 )
@@ -209,7 +207,7 @@ def _k3_point_census(point) -> list:
     locus = _point_locus(point)
     found: dict = {}
     for s in catalog_regular(3):
-        for lbl in k3_factors_mod(locus, s.label):
+        for lbl in split_on_locus(locus, s.label):
             found.setdefault(lbl.name, lbl)
     return list(found.values())
 
@@ -235,7 +233,49 @@ def test_k3_point_census():
 def test_k3_sq_plus_splits_off_the_squared_eigenvalue(point, factors):
     # l_i^2 + l_j*l_k vanishes at the point: l_i splits off, {j, k} stays together
     locus = _point_locus(tuple(map(Cyclotomic, point)))
-    assert [l.name for l in k3_factors_mod(locus, label3((1, 1, 1)))] == factors
+    assert [l.name for l in split_on_locus(locus, label3((1, 1, 1)))] == factors
+
+
+def _unit_exps(k: int) -> tuple:
+    return tuple(1 if x == k else 0 for x in range(3))
+
+
+def k3_factors_mod(locus, g3) -> tuple:
+    """Oracle: the simple factors of a regular level-3 module on the locus,
+    by the rule of its Table-2 row (that of the level-4 module with its
+    exponents).  The 2-dim module splits into its two 1-dim constituents; row
+    entry i of the 3-dim module is l_i^2 + l_j l_k, so l_i splits off and the
+    pair {j, k} stays together."""
+    for i, spec in enumerate(vanishing_for_module(label4(g3.exps))):
+        if not locus.vanishes(spec.generator):
+            continue
+        if sum(g3.exps) == 2:
+            return tuple(label3(_unit_exps(k)) for k, e in enumerate(g3.exps) if e)
+        sub = tuple(0 if k == i else 1 for k in range(3))
+        return tuple(
+            sorted(
+                k3_factors_mod(locus, label3(sub)) + (label3(_unit_exps(i)),),
+                key=lambda l: l.name,
+            )
+        )
+    return (g3,)
+
+
+def test_k3_split_on_locus_matches_oracle():
+    """Level-3 split_on_locus against the Table-2 rule, on every non-diff
+    ideal and on every branch of every compatible pair."""
+    ideals = _non_diff_ideals()
+    loci = [p.param for p in ideals]
+    for a in range(len(ideals)):
+        for b in range(a + 1, len(ideals)):
+            try:
+                loci.extend(br.locus for br in compose_pair(ideals[a], ideals[b]))
+            except (ValueError, CubicHeckeError):
+                continue
+    assert len(loci) == 30 + 372
+    for locus in loci:
+        for s in catalog_regular(3):
+            assert split_on_locus(locus, s.label) == k3_factors_mod(locus, s.label), (locus, s.label)
 
 
 def test_invariant_chain_sinks_first():
@@ -291,6 +331,17 @@ def test_table2_transposed_series_pinned():
     lines = _table2_series_lines("transpose")
     assert sum(not line.startswith("  ") for line in lines) == 75
     assert _digest(lines) == "b351e1aaabc3033012a48d83a61b4c26e8b7037c29a15c2e6704fcb2adefcafb"
+
+
+def test_single_censuses_pinned():
+    """The census mod each non-diff ideal, one line per entry."""
+    lines = []
+    for p in _non_diff_ideals():
+        c = census_single(p)
+        lines.append(c.context)
+        lines.extend("  %s" % _entry_text(e) for e in c.entries)
+    assert sum(not line.startswith("  ") for line in lines) == 30
+    assert _digest(lines) == "f82a68bb9ddc1521d9d5cc232c1a7f401d011256aa8e900cfc1cad33a33dfdf0"
 
 
 def test_k3_reports_pinned():
