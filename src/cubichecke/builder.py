@@ -15,7 +15,7 @@ single unknown, followed by full verification of every defining relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
 
@@ -28,7 +28,7 @@ from .catalog import (
 from .errors import CubicHeckeError, GaugeInconsistent, PoleOnLocus
 from .jm import ab2_matrix, block_spec
 from .matrix import Matrix, components
-from .ratfunc import RatFunc, rat_sum, valuation
+from .ratfunc import RatFunc, coprime_base, rat_sum, rebase, valuation
 from .specialize import Specialization
 
 
@@ -53,10 +53,6 @@ class GeneratorSet:
         return self.matrices[1]
 
     @property
-    def S2(self) -> Matrix:
-        return self.matrices[2]
-
-    @property
     def S3(self) -> Matrix:
         return self.matrices[3]
 
@@ -70,9 +66,21 @@ class GeneratorSet:
             return lams
         return tuple(self.context.apply_ratfunc(l) for l in lams)
 
+    @cached_property
+    def product_view(self) -> MappingProxyType:
+        """The generator matrices with every denominator key rewritten over one
+        coprime base of all their keys: the same values, but sums of products
+        then form least common denominators.  Built on first use, so a set
+        that is never multiplied never pays for it."""
+        keys = dict.fromkeys(f for m in self.matrices.values()
+                             for row in m.entries for a in row for f in a.fac)
+        base, splits = coprime_base(keys), {}
+        return MappingProxyType({i: m.map(lambda a: rebase(a, base, splits))
+                                 for i, m in self.matrices.items()})
+
     def delta_matrix(self) -> Matrix:
         """The half twist: the word ``HALF_TWIST`` of the set's level."""
-        return eval_word(HALF_TWIST[self.label.level], self.matrices, Matrix.__mul__, {})
+        return eval_word(HALF_TWIST[self.label.level], self.product_view, Matrix.__mul__, {})
 
 
 def _block_diag(n: int, placements) -> Matrix:
@@ -420,10 +428,11 @@ class VerifyReport:
 
 def verify(g: GeneratorSet) -> VerifyReport:
     """Exact verification of each row of ``RELATIONS`` whose generators the
-    set has.  delta_sq_scalar takes its shortcut only if its three premises,
-    commute_S1_S3, braid_S1_S2 and braid_S2_S3, passed in this report, and
-    otherwise squares the half twist, so corrupted inputs fail faithfully."""
-    level, mats, lams, memo = g.label.level, g.matrices, g.eigenvalues(), {}
+    set has, on the set's ``product_view``.  delta_sq_scalar takes its
+    shortcut only if its three premises, commute_S1_S3, braid_S1_S2 and
+    braid_S2_S3, passed in this report, and otherwise squares the half twist,
+    so corrupted inputs fail faithfully."""
+    level, mats, lams, memo = g.label.level, g.product_view, g.eigenvalues(), {}
     mul = Matrix.__mul__
 
     @lru_cache(maxsize=None)
@@ -468,8 +477,8 @@ def scaled_projection(m: Matrix, r: int, lams) -> Matrix:
 
 def weight_operator(g: GeneratorSet, i: int, j: int) -> Matrix:
     """B(i, j) = P_{1 i} P_{3 j}; its image is the (i, j) weight space."""
-    lams = g.eigenvalues()
-    return scaled_projection(g.S1, i, lams) * scaled_projection(g.S3, j, lams)
+    lams, mats = g.eigenvalues(), g.product_view
+    return scaled_projection(mats[1], i, lams) * scaled_projection(mats[3], j, lams)
 
 
 def path_weights(basis, s: Matrix, idx, lams) -> dict:
@@ -509,7 +518,7 @@ def weight_report(g: GeneratorSet) -> WeightReport:
     ranks = path_weights(g.basis, g.S3, range(len(g.basis)), lams)
     d_scalars = {}
     if sorted(g.label.exps, reverse=True) == [3, 2, 1]:
-        p23 = scaled_projection(g.S2, 3, lams)
+        p23 = scaled_projection(g.product_view[2], 3, lams)
         for (i, j) in ranks:
             op = weight_operator(g, i, j)
             d_scalars[(i, j)] = extract_scalar(op * p23 * op, op)
@@ -532,10 +541,11 @@ def alpha_scalar(g: GeneratorSet, ki: tuple, lj: tuple) -> RatFunc:
     """alpha with B(k,i) S2 B(l,j) S2 B(k,i) = alpha B(k,i) (8- and 9-dim modules)."""
     b1 = weight_operator(g, *ki)
     b2 = weight_operator(g, *lj)
-    return extract_scalar(b1 * g.S2 * b2 * g.S2 * b1, b1)
+    s2 = g.product_view[2]
+    return extract_scalar(b1 * s2 * b2 * s2 * b1, b1)
 
 
-def delta4_weight_charpoly(g: GeneratorSet) -> list:
+def delta4_weight_charpoly(g: GeneratorSet) -> tuple:
     """Characteristic polynomial of Delta4 P1(l1) P3(l1) with normalized projections.
 
     Defined for the generic module with exponent shape (4, 2, 2); the module's
@@ -551,13 +561,14 @@ def delta4_weight_charpoly(g: GeneratorSet) -> list:
         raise ValueError("defined for the generic 8-dimensional modules")
     r = g.label.exps.index(4) + 1
     lam = g.eigenvalues()
-    others = [s for s in (1, 2, 3) if s != r]
-    denom = RatFunc.one()
-    for s in others:
-        denom = denom * (lam[r - 1] - lam[s - 1])
-    inv = denom.inv()
-    proj1 = scaled_projection(g.S1, r, lam).scale(inv)
-    proj3 = scaled_projection(g.S3, r, lam).scale(inv)
+    # 1 / prod (l_r - l_s), one key per factor, as the product view keeps them
+    inv = RatFunc.one()
+    for s in (1, 2, 3):
+        if s != r:
+            inv = inv * (lam[r - 1] - lam[s - 1]).inv()
+    mats = g.product_view
+    proj1 = scaled_projection(mats[1], r, lam).scale(inv)
+    proj3 = scaled_projection(mats[3], r, lam).scale(inv)
     p = proj1 * proj3
     idx = sorted({
         k for i, row in enumerate(p.entries) for j, x in enumerate(row) if not x.is_zero()
@@ -572,4 +583,4 @@ def delta4_weight_charpoly(g: GeneratorSet) -> list:
     e2 = rat_sum([
         a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in combinations(range(len(idx)), 2)
     ]).reduce()
-    return [RatFunc.zero()] * (g.S1.rows - 2) + [e2, -e1, RatFunc.one()]
+    return (RatFunc.zero(),) * (g.S1.rows - 2) + (e2, -e1, RatFunc.one())

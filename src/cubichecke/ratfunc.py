@@ -1,11 +1,17 @@
 """The universal scalar field: rational functions in l1, l2, l3 over Q(zeta12).
 
-Denominators are kept as multisets of small monic polynomial factors; the
-variables are invertible, so monomial denominators live inside the numerator
-as negative exponents.  Cancellation then amounts to exact-division tests
-against individual factors, which keeps the nine-dimensional symbolic
-assemblies tractable; a full multivariate GCD pass is reserved for the
-explicit ``reduce`` normalization.
+Denominators are kept as multisets of monic polynomial factors, the keys of
+``fac``; the variables are invertible, so monomial denominators live inside
+the numerator as negative exponents.  Cancellation then amounts to
+exact-division tests against individual factors, which keeps the
+nine-dimensional symbolic assemblies tractable; a full multivariate GCD pass
+is reserved for the explicit ``reduce`` normalization.
+
+Two keys need not be coprime: ``reduce`` stores its whole denominator as one
+key, such as (l1 - l2)(l1 - l3) beside a key l1 - l2.  Common denominators
+built from such keys repeat the shared primes.  Where many products and sums
+happen, ``coprime_base`` and ``rebase`` first rewrite the keys over one set of
+pairwise coprime cores.
 
 Equality is always semantic (difference has zero numerator), independent of
 the representative, and ``reduce`` is idempotent.
@@ -232,8 +238,11 @@ class RatFunc:
 def rat_sum(items) -> RatFunc:
     """Sum of rational functions over one common denominator.
 
-    Materializes the factor-wise least common denominator once, which is much
-    cheaper than folding pairwise additions inside matrix products.
+    The denominator is the factor-wise maximum of the terms' keys, formed
+    once, which is much cheaper than folding pairwise additions inside matrix
+    products.  It is the least common denominator only when the keys are
+    pairwise coprime (see ``rebase``); keys that share a prime give a correct
+    but larger one.
     """
     items = [r for r in items if not r.num.is_zero()]
     if not items:
@@ -256,14 +265,15 @@ def rat_sum(items) -> RatFunc:
     return RatFunc(total, fac=lcd)._auto()
 
 
-def _multiplicity(gen: LaurentPoly, p: LaurentPoly) -> int:
-    """Largest k with gen^k dividing the nonzero ordinary polynomial p."""
+def _multiplicity(gen: LaurentPoly, p: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """(k, p / gen^k) for the largest k with gen^k dividing the nonzero
+    ordinary polynomial p."""
     k = 0
     while True:
         try:
             p = exact_div(p, gen)
         except ValueError:
-            return k
+            return k, p
         k += 1
 
 
@@ -275,7 +285,56 @@ def valuation(f: RatFunc, gen: LaurentPoly) -> int:
     """
     if f.is_zero():
         raise ValueError("the valuation of 0 is infinite")
-    order = _multiplicity(gen, f.num.shift_nonnegative()[0])
+    order = _multiplicity(gen, f.num.shift_nonnegative()[0])[0]
     for p, e in f.fac.items():
-        order -= e * _multiplicity(gen, p)
+        order -= e * _multiplicity(gen, p)[0]
     return order
+
+
+def coprime_base(polys) -> list:
+    """A gcd-free basis of the monic denominator keys ``polys``: monic,
+    pairwise coprime cores, each key a product of powers of them.
+
+    Two members that share a factor g are replaced by g and their quotients
+    by g until no two do; each split lowers the sum of the squared degrees,
+    so the refinement ends.
+    """
+    base: list = []
+    todo = list(polys)
+    while todo:
+        p = todo.pop()
+        if p.is_const():
+            continue
+        for k, q in enumerate(base):
+            g = poly_gcd(p, q)
+            if not g.is_one():
+                del base[k]
+                todo += [g, exact_div(p, g), exact_div(q, g)]
+                break
+        else:
+            base.append(p)
+    return base
+
+
+def rebase(r: RatFunc, base: list, splits: dict) -> RatFunc:
+    """r with each denominator key replaced by its factorization over the
+    cores ``base``; the numerator, and so the value, is unchanged.
+
+    ``splits`` keeps each key's factorization (key -> (core, power) pairs)
+    for the next call.  A key that is not a product of the cores is an
+    internal error, so it raises RuntimeError, not ValueError.
+    """
+    fac: dict = {}
+    for f, e in r.fac.items():
+        if f not in splits:
+            rest, split = f, []
+            for core in base:
+                k, rest = _multiplicity(core, rest)
+                if k:
+                    split.append((core, k))
+            if not rest.is_one():
+                raise RuntimeError("denominator factor %s does not factor over its coprime base" % f)
+            splits[f] = split
+        for core, k in splits[f]:
+            fac[core] = fac.get(core, 0) + e * k
+    return RatFunc(r.num, fac=fac)

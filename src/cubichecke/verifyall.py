@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import golden
 from .builder import (
@@ -190,6 +190,20 @@ def check_weights_6dim():
     return _ok(True, "4 printed values + symmetry + trace resolution")
 
 
+@lru_cache(maxsize=None)
+def _alpha(label, gauge: str, ki: tuple, lj: tuple) -> RatFunc:
+    """alpha_scalar of a generic module, once per process: check_alpha and
+    check_gauge_invariance both read alpha_{21,23} of the 8-dim module."""
+    return alpha_scalar(assemble(label, gauge=gauge), ki, lj)
+
+
+@lru_cache(maxsize=None)
+def _charpoly_8dim(gauge: str) -> tuple:
+    """delta4_weight_charpoly of l1^4*l2^2*l3^2, once per process: the
+    charpoly and gauge-invariance checks both read the row gauge's."""
+    return delta4_weight_charpoly(assemble(label4((4, 2, 2)), gauge=gauge))
+
+
 def check_alpha(label, ki: tuple, lj: tuple, expected, vanishing, symmetric: bool, detail: str):
     """alpha_{ki,lj} of the generic module: its golden value ``expected()``,
     the sandwich symmetry alpha_{lj,ki} = alpha_{ki,lj} when ``symmetric``,
@@ -200,14 +214,13 @@ def check_alpha(label, ki: tuple, lj: tuple, expected, vanishing, symmetric: boo
     def name(*weights):
         return "alpha_{%s}" % ",".join("%d%d" % w for w in weights)
 
-    g = assemble(label)
-    a = alpha_scalar(g, ki, lj)
+    a = _alpha(label, "row", ki, lj)
     if not a == expected():
         return _ok(False, "%s mismatch" % name(ki, lj))
-    if symmetric and not alpha_scalar(g, lj, ki) == a:
+    if symmetric and not _alpha(label, "row", lj, ki) == a:
         return _ok(False, "sandwich symmetry fails")
     ki23, lj23 = (tuple(p23[k - 1] + 1 for k in w) for w in (ki, lj))
-    if not alpha_scalar(g, ki23, lj23) == perm_ratfunc(p23, a):
+    if not _alpha(label, "row", ki23, lj23) == perm_ratfunc(p23, a):
         return _ok(False, "equivariance %s = (23) %s fails" % (name(ki23, lj23), name(ki, lj)))
     for ideal_name, want_zero in vanishing:
         img = ideal_by_name(ideal_name).param.apply_ratfunc(a)
@@ -217,8 +230,7 @@ def check_alpha(label, ki: tuple, lj: tuple, expected, vanishing, symmetric: boo
 
 
 def check_charpoly_8dim():
-    g = assemble(label4((4, 2, 2)))
-    cp = delta4_weight_charpoly(g)
+    cp = _charpoly_8dim("row")
     want = golden.charpoly_8dim_expected()
     if len(cp) != len(want) or any(not a == b for a, b in zip(cp, want)):
         return _ok(False, "characteristic polynomial differs")
@@ -469,14 +481,10 @@ def check_gauge_invariance():
     six_col = assemble(label4((3, 2, 1)), gauge="column")
     if weight_report(six_row).d_scalars != weight_report(six_col).d_scalars:
         return _ok(False, "6-dim weight scalars depend on the gauge")
-    eight_row = assemble(label4((4, 2, 2)), gauge="row")
-    eight_col = assemble(label4((4, 2, 2)), gauge="column")
-    if not alpha_scalar(eight_row, (2, 1), (2, 3)) == alpha_scalar(eight_col, (2, 1), (2, 3)):
+    eight = label4((4, 2, 2))
+    if not _alpha(eight, "row", (2, 1), (2, 3)) == _alpha(eight, "column", (2, 1), (2, 3)):
         return _ok(False, "8-dim alpha depends on the gauge")
-    if any(
-        not a == b
-        for a, b in zip(delta4_weight_charpoly(eight_row), delta4_weight_charpoly(eight_col))
-    ):
+    if any(not a == b for a, b in zip(_charpoly_8dim("row"), _charpoly_8dim("column"))):
         return _ok(False, "8-dim characteristic polynomial depends on the gauge")
     return _ok(True, "weight scalars, alpha, charpoly agree across gauges")
 

@@ -9,6 +9,7 @@ from cubichecke.builder import (
     GeneratorSet,
     _solve_gauge,
     assemble,
+    assemble_generic,
     delta4_weight_charpoly,
     eval_word,
     path_weights,
@@ -27,7 +28,7 @@ from cubichecke.catalog import (
 from cubichecke.cyclotomic import Cyclotomic
 from cubichecke.errors import CubicHeckeError, GaugeInconsistent
 from cubichecke.matrix import Matrix, eval_matrix, num_eigenprojection, num_mat_mul
-from cubichecke.ratfunc import RatFunc, rat_sum
+from cubichecke.ratfunc import RatFunc, coprime_base, rat_sum
 from cubichecke.serialize import canonical_dumps, matrix_to_json
 from test_cyclotomic import rational_value
 
@@ -52,7 +53,7 @@ def test_six_dim_generic():
     for k, t in enumerate(g.basis):
         for j, s in enumerate(g.basis):
             if t.g3 != s.g3:
-                assert g.S2.entries[k][j].is_zero()
+                assert g.matrices[2].entries[k][j].is_zero()
             if t.g2 != s.g2:
                 assert g.S3.entries[k][j].is_zero()
 
@@ -87,8 +88,8 @@ def test_specialized_assembly_charpoly_matches_generic():
     # polynomials of the 6x6 S2 in characteristic 0
     six = label4((3, 2, 1))
     p = ideal_by_name("l1^3-l2^2*l3")
-    generic = assemble(six).S2
-    special = assemble(six, p.param).S2
+    generic = assemble(six).matrices[2]
+    special = assemble(six, p.param).matrices[2]
 
     def power_traces(m):
         power, out = m, []
@@ -137,6 +138,65 @@ def test_generic_assemblies_pinned_by_digest():
             lines.append(canonical_dumps([spec.label.name, gauge, mats, cert]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GENERIC_ASSEMBLY_DIGEST
+
+
+# (distinct denominator keys in S1-S3, cores of their coprime base, total
+# degree of the cores) per level-4 label, row gauge then column gauge.  Each
+# is a bound: a change may lower it; one that raises it says why.
+REPRESENTATION_SIZE = {
+    "l1^3*l2^3*l3^3:theta": ((27, 13, 18), (27, 13, 22)),
+    "l1^3*l2^3*l3^3:theta2": ((27, 13, 18), (27, 13, 22)),
+    "l1^4*l2^2*l3^2": ((21, 12, 19), (21, 12, 19)),
+    "l1^2*l2^4*l3^2": ((21, 10, 15), (21, 10, 15)),
+    "l1^2*l2^2*l3^4": ((21, 11, 18), (20, 11, 18)),
+    "l1^3*l2^2*l3": ((10, 7, 10), (12, 8, 12)),
+    "l1^3*l2*l3^2": ((10, 7, 10), (12, 8, 12)),
+    "l1^2*l2^3*l3": ((14, 9, 13), (14, 10, 15)),
+    "l1*l2^3*l3^2": ((14, 8, 11), (14, 8, 13)),
+    "l1^2*l2*l3^3": ((14, 9, 13), (14, 10, 15)),
+    "l1*l2^2*l3^3": ((14, 8, 11), (14, 8, 13)),
+    "l1*l2*l3": ((5, 4, 4), (5, 4, 4)),
+    "l1^2*l2": ((2, 2, 3), (2, 2, 3)),
+    "l1^2*l3": ((2, 2, 3), (2, 2, 3)),
+    "l1*l2^2": ((2, 2, 3), (2, 2, 3)),
+    "l2^2*l3": ((2, 2, 3), (2, 2, 3)),
+    "l1*l3^2": ((2, 2, 3), (2, 2, 3)),
+    "l2*l3^2": ((2, 2, 3), (2, 2, 3)),
+    "l1*l2": ((1, 1, 1), (1, 1, 1)),
+    "l1*l3": ((1, 1, 1), (1, 1, 1)),
+    "l2*l3": ((1, 1, 1), (1, 1, 1)),
+    "l1": ((0, 0, 0), (0, 0, 0)),
+    "l2": ((0, 0, 0), (0, 0, 0)),
+    "l3": ((0, 0, 0), (0, 0, 0)),
+}
+
+
+def test_representation_size_bounded():
+    # sizes of the stored representation, which host noise cannot move
+    assert set(REPRESENTATION_SIZE) == {spec.label.name for spec in catalog_regular(4)}
+    for spec in catalog_regular(4):
+        for gauge, bound in zip(("row", "column"), REPRESENTATION_SIZE[spec.label.name]):
+            g = assemble(spec.label, gauge=gauge)
+            keys = {f for m in g.generators() for row in m.entries for a in row for f in a.fac}
+            base = coprime_base(keys)
+            degree = sum(max(sum(e) for e in core.terms) for core in base)
+            size = (len(keys), len(base), degree)
+            assert all(x <= b for x, b in zip(size, bound)), (spec.label.name, gauge, size, bound)
+            view_keys = {f for m in g.product_view.values()
+                         for row in m.entries for a in row for f in a.fac}
+            assert view_keys <= set(base)
+
+
+def test_product_view_is_lazy_and_read_only():
+    # a fresh assembly, not the shared cache entry, so no earlier test built it
+    g = assemble_generic.__wrapped__(label4((3, 2, 1)))
+    assert "product_view" not in vars(g)
+    assert verify(g).all_passed
+    view = g.product_view
+    assert g.product_view is view
+    assert all(view[i] == g.matrices[i] for i in g.matrices)
+    with pytest.raises(TypeError):
+        view[1] = g.S1
 
 
 def test_weight_ranks_match_catalog():
@@ -230,9 +290,9 @@ def test_assembly_results_are_read_only(kind):
     }[kind]
     g = build()
     with pytest.raises(TypeError):
-        g.S2.entries[0][0] = RatFunc.one()
+        g.matrices[2].entries[0][0] = RatFunc.one()
     with pytest.raises(TypeError):
-        g.S2.entries[0] = g.S1.entries[0]
+        g.matrices[2].entries[0] = g.S1.entries[0]
     with pytest.raises(TypeError):
         g.matrices[2] = g.S1
     with pytest.raises(TypeError):
@@ -242,7 +302,7 @@ def test_assembly_results_are_read_only(kind):
             g.certificate["solved"]["x"] = "1"
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.matrices = {}
-    assert build().S2 == g.S2
+    assert build().matrices[2] == g.matrices[2]
     assert assemble(lab) is assemble(lab)
     assert verify(build()).all_passed
 
@@ -291,6 +351,6 @@ def test_delta4_weight_charpoly_at_a_rational_point():
 
 def test_delta4_weight_charpoly_needs_rank_two():
     g = assemble(label4((4, 2, 2)))
-    bad = dataclasses.replace(g, matrices={1: g.S1, 2: g.S2, 3: g.S1})
+    bad = dataclasses.replace(g, matrices={1: g.S1, 2: g.matrices[2], 3: g.S1})
     with pytest.raises(CubicHeckeError, match="rank 4"):
         delta4_weight_charpoly(bad)

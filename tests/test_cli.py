@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cubichecke import builder
 from cubichecke.cli import main
 from test_serialize import MALFORMED_ENTRIES
 
@@ -161,6 +162,18 @@ def test_rep_rejects_missing_or_unreadable_input(tmp_path, capsys):
         assert code == 2, argv
         assert captured.out == ""
         assert word in captured.err
+
+
+def test_internal_error_is_not_invalid_input(monkeypatch):
+    # a denominator key outside its coprime base is a bug in the engine: it
+    # must propagate (exit 1), not read as invalid input (2) or a failed
+    # verification (20)
+    full_base = builder.coprime_base
+    monkeypatch.setattr(builder, "coprime_base", lambda polys: full_base(polys)[1:])
+    # an uncached assembly, so the product view is built under the patch
+    monkeypatch.setattr(builder, "assemble_generic", builder.assemble_generic.__wrapped__)
+    with pytest.raises(RuntimeError, match="does not factor over its coprime base"):
+        main(["rep", "build", "--module", "l1^3*l2^2*l3"])
 
 
 def test_excluded_difference_ideal_is_invalid_input(tmp_path, capsys):

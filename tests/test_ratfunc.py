@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubichecke.cyclotomic import Cyclotomic
-from cubichecke.laurent import LaurentPoly
-from cubichecke.ratfunc import RatFunc, rat_sum
+from cubichecke.laurent import LaurentPoly, poly_gcd
+from cubichecke.ratfunc import RatFunc, coprime_base, rat_sum, rebase
 
 L1 = RatFunc.var(0)
 L2 = RatFunc.var(1)
@@ -119,6 +119,64 @@ def test_field_ops(a, b):
 def test_equality_survives_round_trips_and_reduce(a, b, c):
     for other in ((a * b) / b, (a + c) - c, a.reduce()):
         assert other == a
+
+
+def _catalog_cores():
+    """Cores shaped like the catalog's ideals and the block formulas'
+    denominators: l_a - u l_b and l_a^2 - u l_b l_c, u a 12th root of unity."""
+    p = [LaurentPoly.var(k) for k in range(3)]
+    unit = st.integers(min_value=0, max_value=11).map(lambda k: LaurentPoly.const(Cyclotomic(0, 1) ** k))
+    pair = st.permutations(range(3)).map(lambda t: t[:2])
+    linear = st.builds(lambda ab, u: p[ab[0]] - u * p[ab[1]], pair, unit)
+    quadratic = st.builds(
+        lambda abc, u: p[abc[0]] * p[abc[0]] - u * p[abc[1]] * p[abc[2]],
+        st.permutations(range(3)), unit,
+    )
+    return st.one_of(linear, quadratic)
+
+
+def _product(polys) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for q in polys:
+        out = out * q
+    return out
+
+
+@st.composite
+def _overlapping_products(draw):
+    """Lists of cores drawn from one small pool, so that keys share cores."""
+    pool = draw(st.lists(_catalog_cores(), min_size=1, max_size=4))
+    return draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                         min_size=1, max_size=5))
+
+
+@given(_overlapping_products(), _polys())
+@settings(max_examples=40)
+def test_coprime_base_and_rebase(products, num):
+    # one denominator key per product; the products share cores
+    r = RatFunc.one() if num.is_zero() else RatFunc(num)
+    for cores in products:
+        r = r * RatFunc(LaurentPoly.one(), _product(cores))
+    base = coprime_base(r.fac)
+    for k, a in enumerate(base):
+        for b in base[k + 1:]:
+            assert poly_gcd(a, b).is_one()
+    splits: dict = {}
+    out = rebase(r, base, splits)
+    assert out.num is r.num
+    assert set(out.fac) <= set(base)
+    for key in r.fac:
+        split = splits[key]
+        assert all(k > 0 for _core, k in split)
+        assert _product(core ** k for core, k in split) == key
+    assert out == r
+
+
+def test_rebase_rejects_a_key_outside_its_base():
+    r = RatFunc(LaurentPoly.one(), (L1 - L2).num * (L1 - L3).num)
+    base = coprime_base([(L1 - L2).num])
+    with pytest.raises(RuntimeError, match="does not factor"):
+        rebase(r, base, {})
 
 
 def test_representatives_pinned():
