@@ -48,7 +48,7 @@ def perm_exps(p, exps):
 
 
 def perm_poly(p, poly: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly({perm_exps(p, e): c for e, c in poly.terms.items()})
+    return LaurentPoly({perm_exps(p, e): c for e, c in poly.term_items()})
 
 
 def perm_ratfunc(p, f: RatFunc) -> RatFunc:
@@ -397,7 +397,7 @@ def _perm_name(p, name: str) -> str:
 def parametrize(gen: LaurentPoly) -> Specialization:
     """Solve the binomial ``gen`` for its highest-indexed variable that occurs
     linearly: c*l_v*m + c'*m' = 0 gives l_v := -(c'/c) * m'/m."""
-    terms = list(gen.terms.items())
+    terms = list(gen.term_items())
     for v in (2, 1, 0):
         for (e, c), (e_other, c_other) in (terms, terms[::-1]):
             if e[v] == 1 and e_other[v] == 0:

@@ -3,9 +3,11 @@
 An element is (n0 + n1*z + n2*z^2 + n3*z^3) / d with Python ints ni and one
 positive int d, reduced modulo the minimal polynomial z^4 = z^2 - 1.  The
 stored form is canonical: gcd(n0, n1, n2, n3, d) == 1 and zero is 0/1, so
-equal elements store equal integers.  Arithmetic is fraction-free; a result
-whose denominator is 1 (the common case) skips the gcd.  ``Fraction`` appears
-only at the boundary, in constructor input.
+equal elements store equal integers.  Arithmetic is fraction-free; a product
+whose denominator is 1 skips the gcd.  ``Fraction`` appears only at the
+boundary, in constructor input.  Polynomial arithmetic does not go through
+this class: :mod:`~cubichecke.laurent` keeps the same numerators in its own
+integer kernel.
 
 The field contains
 
@@ -68,9 +70,6 @@ class Cyclotomic:
         a0, a1, a2, a3 = self.n
         b0, b1, b2, b3 = other.n
         ad, bd = self.d, other.d
-        if ad == bd:
-            n = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            return _raw(n, 1) if ad == 1 else _canon(n, ad)
         return _canon(
             (a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad),
             ad * bd,
@@ -104,20 +103,10 @@ class Cyclotomic:
                 n = (a0 * b0, 0, 0, 0)
             else:
                 n = (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
-        elif not (a1 or a2 or a3):
-            if a0 == 1 == self.d:
-                return other
-            n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+        elif a0 == 1 == self.d and not (a1 or a2 or a3):
+            return other
         else:
-            t4 = a1 * b3 + a2 * b2 + a3 * b1
-            t5 = a2 * b3 + a3 * b2
-            # z^4 = z^2 - 1,  z^5 = z^3 - z,  z^6 = -1
-            n = (
-                a0 * b0 - t4 - a3 * b3,
-                a0 * b1 + a1 * b0 - t5,
-                a0 * b2 + a1 * b1 + a2 * b0 + t4,
-                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
-            )
+            n = mul_numerators(self.n, other.n)
         return _raw(n, 1) if d == 1 else _canon(n, d)
 
     @staticmethod
@@ -199,6 +188,21 @@ class Cyclotomic:
         for p in parts[1:]:
             out += ("+" + p) if not p.startswith("-") else p
         return out
+
+
+def mul_numerators(a: tuple, b: tuple) -> tuple:
+    """The product of two numerator tuples, reduced by z^4 = z^2 - 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    t4 = a1 * b3 + a2 * b2 + a3 * b1
+    t5 = a2 * b3 + a3 * b2
+    # z^4 = z^2 - 1,  z^5 = z^3 - z,  z^6 = -1
+    return (
+        a0 * b0 - t4 - a3 * b3,
+        a0 * b1 + a1 * b0 - t5,
+        a0 * b2 + a1 * b1 + a2 * b0 + t4,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
+    )
 
 
 def _raw(n: tuple, d: int) -> Cyclotomic:

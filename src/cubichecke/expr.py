@@ -117,7 +117,10 @@ class _Parser:
                 raise ParseError("exponent must be an integer")
             if sign < 0 and not base.is_monomial():
                 raise ParseError("negative powers only of monomials")
-            return base ** (sign * val)
+            try:
+                return base ** (sign * val)
+            except OverflowError as exc:
+                raise ParseError(str(exc)) from None
         return base
 
     def atom(self) -> LaurentPoly:
@@ -180,7 +183,7 @@ def parse_label(text: str) -> ModuleLabel:
     poly = parse_poly(text)
     if not poly.is_monomial():
         raise ParseError("module labels are monomials in l1, l2, l3")
-    ((exps, coeff),) = poly.terms.items()
+    ((exps, coeff),) = poly.term_items()
     if not coeff.is_one():
         raise ParseError("module labels carry no coefficient")
     label = label4(exps, theta)

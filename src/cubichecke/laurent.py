@@ -1,19 +1,47 @@
-"""Sparse Laurent polynomials over Q(zeta12) with exact GCD support.
+"""Sparse Laurent polynomials in l1, l2, l3 over Q(zeta12), on integer numerators.
 
-Terms are kept in a dict mapping integer exponent tuples to nonzero
-:class:`~cubichecke.cyclotomic.Cyclotomic` coefficients.  Exponents may be
-negative (the eigenvalue variables are invertible); everything that needs
-ordinary polynomials (division, GCD) first strips the monomial content.
+A polynomial stores one positive int denominator ``d`` and a dict ``terms``
+from a packed exponent to four int numerators (n0, n1, n2, n3): the
+coefficient of l^e is (n0 + n1*z + n2*z^2 + n3*z^3) / d with z^4 = z^2 - 1,
+as in :mod:`~cubichecke.cyclotomic`.  The form is canonical: no numerator
+tuple is zero, gcd(all numerators, d) == 1, and zero is {} over 1, so equal
+polynomials store equal data and hash alike.
 
-The canonical term order used for leading terms, normalization and
-serialization is lexicographic on exponent tuples.
+A packed exponent holds e0, e1, e2 in three 20-bit fields, each biased by
+2^19, with e0 in the high field, so integer order on keys is lexicographic
+order on exponent tuples, and the key of a product term is the sum of its
+operands' keys less the key of (0, 0, 0).  Every exponent satisfies
+|e| < 2^19.  Each polynomial carries bounds ``lo <= e <= hi`` on all its
+exponents, from which an operation checks once per operand that its result
+fits; one that would not raises OverflowError, and no field ever wraps.
+The bounds are exact for products of what the constructor built and may be
+loose after cancellation, which never matters at this library's degrees.
+
+The kernel (products, sums, substitution, division, evaluation) works on the
+integer tuples: the z^4 = z^2 - 1 reduction is applied per product, and each
+result takes one gcd against its denominator.  ``Cyclotomic`` is the scalar
+type at the boundary only: the constructor from {exponent tuple: Cyclotomic},
+``term_items``, ``sorted_terms``, ``leading``, ``const_value``, and the
+coefficients of ``scale`` and ``mul_monomial``.  Division and GCD treat their
+inputs as ordinary polynomials (no negative exponents); everything that needs
+them first strips the monomial content.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, ONE, ZERO
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+
+from .cyclotomic import MINUS_ONE, ONE, ZERO, Cyclotomic, _canon, mul_numerators
 
 _NAMES = ("l1", "l2", "l3")
+_BIAS = 1 << 19                 # the field value of exponent 0; |e| < _BIAS
+_MASK = (1 << 20) - 1
+_SHIFTS = (40, 20, 0)
+_KEY0 = (_BIAS << 40) | (_BIAS << 20) | _BIAS   # the key of (0, 0, 0)
+_ZN = (0, 0, 0, 0)
+_UNIT = (1, 0, 0, 0)
 
 
 def monomial_name(exps) -> str:
@@ -24,40 +52,109 @@ def monomial_name(exps) -> str:
     )
 
 
+def _pack(exps) -> int:
+    e0, e1, e2 = exps
+    return ((e0 + _BIAS) << 40) | ((e1 + _BIAS) << 20) | (e2 + _BIAS)
+
+
+def _unpack(k: int) -> tuple:
+    return (k >> 40) - _BIAS, ((k >> 20) & _MASK) - _BIAS, (k & _MASK) - _BIAS
+
+
+def _check(lo: int, hi: int) -> tuple:
+    """(lo, hi), the bounds of a result's exponents, if they fit the packed range."""
+    if lo <= -_BIAS or hi >= _BIAS:
+        raise OverflowError("exponent outside the packed range |e| < 2^19")
+    return lo, hi
+
+
+def _times(terms: dict, shift: int, c) -> dict:
+    """{k + shift: n * c} for a nonzero numerator tuple c (no product is zero)."""
+    c0, c1, c2, c3 = c
+    if c1 or c2 or c3:
+        return {k + shift: mul_numerators(n, c) for k, n in terms.items()}
+    if c0 == 1:
+        return {k + shift: n for k, n in terms.items()} if shift else dict(terms)
+    return {k + shift: (c0 * n0, c0 * n1, c0 * n2, c0 * n3) for k, (n0, n1, n2, n3) in terms.items()}
+
+
+def _make(terms: dict, d: int, lo: int, hi: int) -> "LaurentPoly":
+    """A polynomial from nonzero numerator tuples over d > 0, with the
+    common factor of the numerators and d divided out."""
+    if d != 1:
+        g = d
+        for n in terms.values():
+            g = gcd(g, *n)
+            if g == 1:
+                break
+        if g != 1:
+            d //= g
+            terms = {k: (n0 // g, n1 // g, n2 // g, n3 // g) for k, (n0, n1, n2, n3) in terms.items()}
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    if terms:
+        p.d, p.lo, p.hi = d, lo, hi
+    else:
+        p.d, p.lo, p.hi = 1, 0, 0
+    return p
+
+
+def _accumulate(out: dict, terms: dict):
+    """Add the numerator tuples of ``terms`` into ``out`` in place, dropping
+    the keys that cancel."""
+    get = out.get
+    for k, (n0, n1, n2, n3) in terms.items():
+        c = get(k)
+        if c is None:
+            out[k] = (n0, n1, n2, n3)
+        else:
+            c = (c[0] + n0, c[1] + n1, c[2] + n2, c[3] + n3)
+            if c == _ZN:
+                del out[k]
+            else:
+                out[k] = c
+
+
 class LaurentPoly:
     """A Laurent polynomial in l1, l2, l3 over Q(zeta12)."""
 
-    __slots__ = ("terms",)
+    # _box, _rat and _hash are facts about the immutable terms, each computed
+    # on first use: the exponent box, whether every coefficient is rational,
+    # and the hash
+    __slots__ = ("terms", "d", "lo", "hi", "_box", "_rat", "_hash")
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        """From {exponent tuple: Cyclotomic}; zero coefficients are dropped."""
+        items = [(e, c) for e, c in terms.items() if not c.is_zero()]
+        d = lcm(*[c.d for _e, c in items])
+        exps = [x for e, _c in items for x in e]
+        self.lo, self.hi = _check(min(exps, default=0), max(exps, default=0))
+        # d is the lcm of canonical denominators, so gcd(numerators, d) == 1
+        self.terms = {
+            _pack(e): c.n if c.d == d else mul_numerators(c.n, (d // c.d, 0, 0, 0)) for e, c in items
+        }
+        self.d = d
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls({})
+        return _make({}, 1, 0, 0)
 
     @classmethod
     def const(cls, coeff: Cyclotomic) -> "LaurentPoly":
-        if coeff.is_zero():
-            return cls({})
         return cls({(0, 0, 0): coeff})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({(0, 0, 0): ONE})
+        return _make({_KEY0: _UNIT}, 1, 0, 0)
 
     @classmethod
     def var(cls, index: int) -> "LaurentPoly":
-        exps = [0, 0, 0]
-        exps[index] = 1
-        return cls({tuple(exps): ONE})
+        return _make({_KEY0 + (1 << _SHIFTS[index]): _UNIT}, 1, 0, 1)
 
     @classmethod
     def monomial(cls, exps, coeff: Cyclotomic = ONE) -> "LaurentPoly":
-        if coeff.is_zero():
-            return cls({})
         return cls({tuple(exps): coeff})
 
     # -- predicates ----------------------------------------------------------
@@ -66,13 +163,10 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        ((e, c),) = self.terms.items()
-        return not any(e) and c.is_one()
+        return len(self.terms) == 1 and self.d == 1 and self.terms.get(_KEY0) == _UNIT
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        return not self.terms or (len(self.terms) == 1 and _KEY0 in self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -80,105 +174,70 @@ class LaurentPoly:
     def const_value(self) -> Cyclotomic:
         if self.is_zero():
             return ZERO
-        ((e, c),) = self.terms.items()
-        if any(e):
+        ((k, n),) = self.terms.items()
+        if k != _KEY0:
             raise ValueError("not a constant: %s" % self)
-        return c
+        return _canon(n, self.d)
 
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+        return _addsub(self, other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = -c
-            else:
-                s = cur - c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+        return _addsub(self, other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return self.scale(MINUS_ONE)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self.terms, other.terms
         if not a or not b:
-            return LaurentPoly({})
+            return LaurentPoly.zero()
+        lo, hi = _check(self.lo + other.lo, self.hi + other.hi)
+        d = self.d * other.d
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
         if len(a) == 1:
-            ((ea, ca),) = a.items()
-            if not any(ea):
-                for eb, cb in b.items():
-                    p = ca * cb
-                    if not p.is_zero():
-                        out[eb] = p
-                return LaurentPoly(out)
-            a0, a1, a2 = ea
-            for (b0, b1, b2), cb in b.items():
-                p = ca * cb
-                if not p.is_zero():
-                    out[(a0 + b0, a1 + b1, a2 + b2)] = p
-            return LaurentPoly(out)
-        get = out.get
-        for (a0, a1, a2), ca in a.items():
-            for (b0, b1, b2), cb in b.items():
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                p = ca * cb
-                cur = get(e)
-                if cur is None:
-                    if not p.is_zero():
-                        out[e] = p
-                else:
-                    s = cur + p
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-        return LaurentPoly(out)
+            ((ka, ca),) = a.items()
+            return _make(_times(b, ka - _KEY0, ca), d, lo, hi)
+        if self._is_rational() and other._is_rational():
+            acc: dict = {}
+            get = acc.get
+            for ka, n in a.items():
+                a0 = n[0]
+                ka -= _KEY0
+                for kb, m in b.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + a0 * m[0]
+            p = _make({k: (v, 0, 0, 0) for k, v in acc.items() if v}, d, lo, hi)
+            p._rat = True
+            return p
+        out: dict = {}
+        for ka, ca in a.items():
+            _accumulate(out, _times(b, ka - _KEY0, ca))
+        return _make(out, d, lo, hi)
 
     def scale(self, coeff: Cyclotomic) -> "LaurentPoly":
         if coeff.is_zero():
-            return LaurentPoly({})
+            return LaurentPoly.zero()
         if coeff.is_one():
             return self
-        return LaurentPoly({e: c * coeff for e, c in self.terms.items()})
+        return _make(_times(self.terms, 0, coeff.n), self.d * coeff.d, self.lo, self.hi)
 
     def mul_monomial(self, exps, coeff: Cyclotomic = ONE) -> "LaurentPoly":
-        x0, x1, x2 = exps
-        if not (x0 or x1 or x2):
+        if coeff.is_zero():
+            return LaurentPoly.zero()
+        if not any(exps):
             return self.scale(coeff)
-        out = {}
-        for (e0, e1, e2), c in self.terms.items():
-            p = c * coeff
-            if not p.is_zero():
-                out[(e0 + x0, e1 + x1, e2 + x2)] = p
-        return LaurentPoly(out)
+        lo, hi = _check(self.lo + min(exps), self.hi + max(exps))
+        return _make(_times(self.terms, _pack(exps) - _KEY0, coeff.n), self.d * coeff.d, lo, hi)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
-            ((e, c),) = self.terms.items()
+            ((e, c),) = self.term_items()
             return LaurentPoly.monomial(tuple(-x for x in e), c.inverse()) ** (-n)
         result = LaurentPoly.one()
         base = self
@@ -190,43 +249,68 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self.d == other.d and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((frozenset(self.terms.items()), self.d))
+            return h
+
+    def _is_rational(self) -> bool:
+        try:
+            return self._rat
+        except AttributeError:
+            r = self._rat = True
+            for n in self.terms.values():
+                if n[1] or n[2] or n[3]:
+                    r = self._rat = False
+                    break
+            return r
+
+    def _bounds(self):
+        """((min e0, min e1, min e2), (max e0, max e1, max e2)) over the terms
+        of a nonzero polynomial."""
+        try:
+            return self._box
+        except AttributeError:
+            t = self.terms
+            f1 = [(k >> 20) & _MASK for k in t]
+            f2 = [k & _MASK for k in t]
+            box = self._box = (
+                ((min(t) >> 40) - _BIAS, min(f1) - _BIAS, min(f2) - _BIAS),
+                ((max(t) >> 40) - _BIAS, max(f1) - _BIAS, max(f2) - _BIAS),
+            )
+            return box
 
     # -- structure helpers -------------------------------------------------------
 
+    def term_items(self):
+        """(exponent tuple, Cyclotomic) pairs, in storage order."""
+        d = self.d
+        return ((_unpack(k), _canon(n, d)) for k, n in self.terms.items())
+
     def sorted_terms(self):
         """Terms in ascending canonical (lex) order; the last one is leading."""
-        return sorted(self.terms.items())
+        d = self.d
+        return [(_unpack(k), _canon(n, d)) for k, n in sorted(self.terms.items())]
 
     def leading(self):
         """(exponents, coefficient) of the lex-largest term."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self.terms)
+        return _unpack(k), _canon(self.terms[k], self.d)
 
     def min_exps(self):
-        its = iter(self.terms)
-        first = next(its)
-        mins = list(first)
-        for e in its:
-            for k, x in enumerate(e):
-                if x < mins[k]:
-                    mins[k] = x
-        return tuple(mins)
+        return self._bounds()[0]
 
     def degree(self, var: int) -> int:
-        return max(e[var] for e in self.terms)
+        return self._bounds()[1][var]
 
     def active_vars(self):
         """Indices of variables occurring with nonzero exponent."""
-        seen = set()
-        for e in self.terms:
-            for k, x in enumerate(e):
-                if x:
-                    seen.add(k)
-        return seen
+        mins, maxs = self._bounds()
+        return {v for v in range(3) if mins[v] or maxs[v]}
 
     def shift_nonnegative(self) -> tuple["LaurentPoly", tuple]:
         """Strip monomial content: self = l^shift * ordinary, ordinary min exps 0."""
@@ -235,47 +319,47 @@ class LaurentPoly:
         mins = self.min_exps()
         if not any(mins):
             return self, mins
-        neg = tuple(-m for m in mins)
-        return self.mul_monomial(neg), mins
+        return self.mul_monomial((-mins[0], -mins[1], -mins[2])), mins
 
     # -- substitution and evaluation -------------------------------------------------
 
     def substitute(self, var: int, coeff: Cyclotomic, exps) -> "LaurentPoly":
         """Replace variable ``var`` by ``coeff * l^exps`` (exps[var] must be 0)."""
-        exps = tuple(exps)
+        parts = _split(self, var)
+        if list(parts) in ([], [0]):
+            return self
+        # a new exponent is 0 (at var) or e_j + m * exps[j] with lo <= e_j <= hi
+        # and m between the least and the greatest power of var
+        shifts = [m * x for m in (min(parts), max(parts)) for x in exps]
+        lo, hi = _check(min(self.lo, 0) + min(shifts), max(self.hi, 0) + max(shifts))
+        step = _pack(exps) - _KEY0
+        table, den = _power_table(coeff, min(parts), max(parts))
         out: dict = {}
-        cache: dict[int, Cyclotomic] = {0: ONE}
-        for e, c in self.terms.items():
-            m = e[var]
-            if m not in cache:
-                cache[m] = coeff ** m
-            newc = c * cache[m]
-            if newc.is_zero():
-                continue
-            newe = tuple(
-                (0 if k == var else x) + m * exps[k] for k, x in enumerate(e)
-            )
-            cur = out.get(newe)
-            if cur is None:
-                out[newe] = newc
-            else:
-                s = cur + newc
-                if s.is_zero():
-                    del out[newe]
-                else:
-                    out[newe] = s
-        return LaurentPoly(out)
+        for m, part in parts.items():
+            if table[m] != _ZN:
+                _accumulate(out, _times(part, m * step, table[m]))
+        return _make(out, self.d * den, lo, hi)
 
     def eval_point(self, values) -> Cyclotomic:
-        """Evaluate at a tuple of Cyclotomic values (nonzero where exponents are negative)."""
-        total = ZERO
-        for e, c in self.terms.items():
-            acc = ONE
-            for v, x in zip(values, e):
-                if x:
-                    acc = acc * (v ** x)
-            total = total + c * acc
-        return total
+        """Evaluate at a tuple of Cyclotomic values (nonzero where exponents are
+        negative): the terms sum as integer tuples over one common denominator,
+        from one power table per point and variable, into one Cyclotomic."""
+        terms = self.terms
+        if not terms:
+            return ZERO
+        den = self.d
+        tables = []
+        for v, lo, hi, s in zip(values, *self._bounds(), _SHIFTS):
+            if lo or hi:
+                table, vden = _power_table(v, lo, hi)
+                tables.append((s, table))
+                den *= vden
+        total = _ZN
+        for k, n in terms.items():
+            for s, table in tables:
+                n = mul_numerators(n, table[((k >> s) & _MASK) - _BIAS])
+            total = (total[0] + n[0], total[1] + n[1], total[2] + n[2], total[3] + n[3])
+        return _canon(total, den)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -283,7 +367,7 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, c in reversed(self.sorted_terms()):
             mono = monomial_name(e)
             cs = str(c)
             composite = ("+" in cs[1:]) or ("-" in cs[1:])
@@ -303,6 +387,31 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+def _addsub(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
+    """a + sign * b over the least common denominator."""
+    g = gcd(a.d, b.d)
+    out = _times(a.terms, 0, (b.d // g, 0, 0, 0))
+    _accumulate(out, _times(b.terms, 0, (sign * a.d // g, 0, 0, 0)))
+    return _make(out, a.d // g * b.d, min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+@lru_cache(maxsize=32)
+def _power_table(v: Cyclotomic, lo: int, hi: int) -> tuple[dict, int]:
+    """({e: numerator of v^e over den} for lo <= e <= hi, den), from running
+    products of the numerators of v and of 1/v (when lo < 0), with no gcd."""
+    w = v.inverse() if lo < 0 else v
+    up, down = [(_UNIT, 1)], [(_UNIT, 1)]
+    for _ in range(hi):
+        n, d = up[-1]
+        up.append((mul_numerators(n, v.n), d * v.d))
+    for _ in range(-lo):
+        n, d = down[-1]
+        down.append((mul_numerators(n, w.n), d * w.d))
+    powers = {e: up[e] if e >= 0 else down[-e] for e in range(lo, hi + 1)}
+    den = lcm(*[d for _n, d in powers.values()])
+    return {e: mul_numerators(n, (den // d, 0, 0, 0)) for e, (n, d) in powers.items()}, den
+
+
 # -- exact division and GCD machinery ------------------------------------------------
 
 
@@ -313,55 +422,88 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
     ``budget`` caps the number of quotient terms; exceeding it raises
     ValueError, which callers using division only as an opportunistic
     cancellation treat as "not divisible".
+
+    The next quotient term comes off a max-heap of remainder keys with lazy
+    deletion (Monagan and Pearce, JSC 2011).  The remainder holds integer
+    numerator tuples: with F, G the numerators of f, g it divides s*F by G,
+    for an int s that grows only when a quotient term would not be integral,
+    and f / g = (s*F / G) * g.d / (s * f.d).
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return LaurentPoly.zero()
-    if g.is_monomial():
-        (((g0, g1, g2), cg),) = g.terms.items()
-        inv = cg.inverse()
-        out = {}
-        for (e0, e1, e2), c in f.terms.items():
-            q0, q1, q2 = e0 - g0, e1 - g1, e2 - g2
-            if q0 < 0 or q1 < 0 or q2 < 0:
-                raise ValueError("inexact division")
-            out[(q0, q1, q2)] = c * inv
-        return LaurentPoly(out)
+    ft, gt = f.terms, g.terms
+    (fmin, fmax), (gmin, gmax) = f._bounds(), g._bounds()
+    if len(gt) == 1:
+        if any(x < y for x, y in zip(fmin, gmin)):
+            raise ValueError("inexact division")
+        _, hi = _check(0, max(x - y for x, y in zip(fmax, gmin)))
+        ((kg, cg),) = gt.items()
+        inv = _canon(cg, g.d).inverse()
+        return _make(_times(ft, _KEY0 - kg, inv.n), f.d * inv.d, 0, hi)
     # cheap rejections: the leading and trailing monomials of an exact product
     # are products of the factors' leading and trailing monomials
-    if any(x < y for x, y in zip(min(f.terms), min(g.terms))):
+    if any(x < y for x, y in zip(_unpack(min(ft)), _unpack(min(gt)))):
         raise ValueError("inexact division")
-    rem = dict(f.terms)
-    eg, cg = g.leading()
-    g0, g1, g2 = eg
-    gitems = [(e, c) for e, c in g.terms.items() if e != eg]
-    inv = cg.inverse()
-    qterms: dict = {}
-    steps = 0
-    while rem:
-        e = max(rem)
-        q0, q1, q2 = e[0] - g0, e[1] - g1, e[2] - g2
-        if q0 < 0 or q1 < 0 or q2 < 0:
+    # and 0 <= q_i <= max_i(f) - max_i(g) for every quotient exponent q (the
+    # Newton polytope of a product is the sum of its factors'), which keeps
+    # every remainder key inside the exponent box of f
+    room = [x - y for x, y in zip(fmax, gmax)]
+    if min(room) < 0:
+        raise ValueError("inexact division")
+    _, hi = _check(0, max(room))
+    kg = max(gt)
+    # the biased fields of a remainder key whose quotient term lies in that box
+    l0, l1, l2 = kg >> 40, (kg >> 20) & _MASK, kg & _MASK
+    h0, h1, h2 = l0 + room[0], l1 + room[1], l2 + room[2]
+    inv = _canon(gt[kg], 1).inverse()
+    iv, idn = inv.n, inv.d
+    rest = [(k - kg, n) for k, n in gt.items() if k != kg]
+    rem = dict(ft)
+    heap = [-k for k in rem]
+    heapify(heap)
+    quotient: dict = {}
+    scale = 1
+    while heap:
+        e = -heappop(heap)
+        r = rem.pop(e, None)
+        if r is None:
+            continue
+        if not (l0 <= e >> 40 <= h0 and l1 <= (e >> 20) & _MASK <= h1 and l2 <= e & _MASK <= h2):
             raise ValueError("inexact division")
-        steps += 1
-        if budget is not None and steps > budget:
+        if budget is not None and len(quotient) >= budget:
             raise ValueError("division budget exceeded")
-        qc = rem.pop(e) * inv
-        qterms[(q0, q1, q2)] = qc
-        for (h0, h1, h2), gc in gitems:
-            key = (q0 + h0, q1 + h1, q2 + h2)
-            cur = rem.get(key)
-            v = qc * gc
-            if cur is None:
-                rem[key] = -v
+        q0, q1, q2, q3 = mul_numerators(r, iv)
+        if idn != 1:
+            c = gcd(idn, q0, q1, q2, q3)
+            m = idn // c
+            if m != 1:
+                # make this quotient term integral: scale all the work so far by m
+                scale *= m
+                rem, quotient = _times(rem, 0, (m, 0, 0, 0)), _times(quotient, 0, (m, 0, 0, 0))
+            q0, q1, q2, q3 = q0 // c, q1 // c, q2 // c, q3 // c
+        quotient[e - kg + _KEY0] = (q0, q1, q2, q3)
+        nq = (-q0, -q1, -q2, -q3)
+        for k, n in rest:
+            k += e
+            if q1 or q2 or q3:
+                p0, p1, p2, p3 = mul_numerators(n, nq)
             else:
-                s = cur - v
-                if s.is_zero():
-                    del rem[key]
+                p0, p1, p2, p3 = -q0 * n[0], -q0 * n[1], -q0 * n[2], -q0 * n[3]
+            c = rem.get(k)
+            if c is None:
+                rem[k] = (p0, p1, p2, p3)
+                heappush(heap, -k)
+            else:
+                c = (c[0] + p0, c[1] + p1, c[2] + p2, c[3] + p3)
+                if c == _ZN:
+                    del rem[k]
                 else:
-                    rem[key] = s
-    return LaurentPoly(qterms)
+                    rem[k] = c
+    if g.d != 1:
+        quotient = _times(quotient, 0, (g.d, 0, 0, 0))
+    return _make(quotient, scale * f.d, 0, hi)
 
 
 def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
@@ -372,24 +514,28 @@ def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
         return False
 
 
+def _split(f: LaurentPoly, var: int) -> dict:
+    """{e: the numerator dict of the terms of f with l_var^e, l_var set to 1}."""
+    s = _SHIFTS[var]
+    parts: dict = {}
+    for k, n in f.terms.items():
+        e = ((k >> s) & _MASK) - _BIAS
+        parts.setdefault(e, {})[k - (e << s)] = n
+    return parts
+
+
 def _coeffs_in_var(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
     """View f as a polynomial in ``var``: degree -> coefficient poly (var-free)."""
-    out: dict[int, LaurentPoly] = {}
-    for e, c in f.terms.items():
-        d = e[var]
-        key = tuple(0 if k == var else x for k, x in enumerate(e))
-        cur = out.get(d)
-        if cur is None:
-            out[d] = LaurentPoly({key: c})
-        else:
-            cur.terms[key] = c
-    return out
+    lo, hi = min(f.lo, 0), max(f.hi, 0)
+    return {e: _make(t, f.d, lo, hi) for e, t in _split(f, var).items()}
 
 
 def _lc_in_var(f: LaurentPoly, var: int):
-    coeffs = _coeffs_in_var(f, var)
-    d = max(coeffs)
-    return d, coeffs[d]
+    d = f.degree(var)
+    s = _SHIFTS[var]
+    top = d + _BIAS
+    lc = {k - (d << s): n for k, n in f.terms.items() if (k >> s) & _MASK == top}
+    return d, _make(lc, f.d, min(f.lo, 0), max(f.hi, 0))
 
 
 def _mul_var_power(f: LaurentPoly, var: int, d: int) -> LaurentPoly:
@@ -445,7 +591,7 @@ def _subresultant_last(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
     if n < m:
         f, g, n, m = g, f, m, n
     d = n - m
-    minus_one = LaurentPoly.const(Cyclotomic(-1))
+    minus_one = LaurentPoly.const(MINUS_ONE)
     b = minus_one if d % 2 == 0 else LaurentPoly.one()
     h = pseudo_rem(f, g, var) * b
     _, lc = _lc_in_var(g, var)
@@ -490,7 +636,7 @@ def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         mins_f = f.min_exps()
         mins_g = g.min_exps()
         return LaurentPoly.monomial(tuple(min(a, b) for a, b in zip(mins_f, mins_g)))
-    if f.terms == g.terms:
+    if f == g:
         return f
     av_f, av_g = f.active_vars(), g.active_vars()
     both = av_f & av_g

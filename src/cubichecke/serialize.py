@@ -52,7 +52,10 @@ def poly_from_json(data) -> LaurentPoly:
         if coeff.is_zero():
             raise ValueError("zero coefficient in polynomial term %s" % (list(e),))
         terms[tuple(e)] = coeff
-    return LaurentPoly(terms)
+    try:
+        return LaurentPoly(terms)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def ratfunc_to_json(f: RatFunc) -> dict:

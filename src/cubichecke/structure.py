@@ -105,7 +105,7 @@ class BlockDecomposition:
 
 def _delta_sort_key(label: ModuleLabel):
     d = delta_scalar(label)
-    ((exps, _c),) = d.num.terms.items()
+    ((exps, _c),) = d.num.term_items()
     return tuple(-e for e in exps), label.name
 
 

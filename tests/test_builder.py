@@ -141,33 +141,34 @@ def test_generic_assemblies_pinned_by_digest():
 
 
 # (distinct denominator keys in S1-S3, cores of their coprime base, total
-# degree of the cores) per level-4 label, row gauge then column gauge.  Each
-# is a bound: a change may lower it; one that raises it says why.
+# degree of the cores, numerator terms of S1-S3) per level-4 label, row gauge
+# then column gauge.  Each is a bound: a change may lower it; one that raises
+# it says why.
 REPRESENTATION_SIZE = {
-    "l1^3*l2^3*l3^3:theta": ((27, 13, 18), (27, 13, 22)),
-    "l1^3*l2^3*l3^3:theta2": ((27, 13, 18), (27, 13, 22)),
-    "l1^4*l2^2*l3^2": ((21, 12, 19), (21, 12, 19)),
-    "l1^2*l2^4*l3^2": ((21, 10, 15), (21, 10, 15)),
-    "l1^2*l2^2*l3^4": ((21, 11, 18), (20, 11, 18)),
-    "l1^3*l2^2*l3": ((10, 7, 10), (12, 8, 12)),
-    "l1^3*l2*l3^2": ((10, 7, 10), (12, 8, 12)),
-    "l1^2*l2^3*l3": ((14, 9, 13), (14, 10, 15)),
-    "l1*l2^3*l3^2": ((14, 8, 11), (14, 8, 13)),
-    "l1^2*l2*l3^3": ((14, 9, 13), (14, 10, 15)),
-    "l1*l2^2*l3^3": ((14, 8, 11), (14, 8, 13)),
-    "l1*l2*l3": ((5, 4, 4), (5, 4, 4)),
-    "l1^2*l2": ((2, 2, 3), (2, 2, 3)),
-    "l1^2*l3": ((2, 2, 3), (2, 2, 3)),
-    "l1*l2^2": ((2, 2, 3), (2, 2, 3)),
-    "l2^2*l3": ((2, 2, 3), (2, 2, 3)),
-    "l1*l3^2": ((2, 2, 3), (2, 2, 3)),
-    "l2*l3^2": ((2, 2, 3), (2, 2, 3)),
-    "l1*l2": ((1, 1, 1), (1, 1, 1)),
-    "l1*l3": ((1, 1, 1), (1, 1, 1)),
-    "l2*l3": ((1, 1, 1), (1, 1, 1)),
-    "l1": ((0, 0, 0), (0, 0, 0)),
-    "l2": ((0, 0, 0), (0, 0, 0)),
-    "l3": ((0, 0, 0), (0, 0, 0)),
+    "l1^3*l2^3*l3^3:theta": ((27, 13, 18, 290), (27, 13, 22, 452)),
+    "l1^3*l2^3*l3^3:theta2": ((27, 13, 18, 290), (27, 13, 22, 452)),
+    "l1^4*l2^2*l3^2": ((21, 12, 19, 139), (21, 12, 19, 181)),
+    "l1^2*l2^4*l3^2": ((21, 10, 15, 194), (21, 10, 15, 201)),
+    "l1^2*l2^2*l3^4": ((21, 11, 18, 403), (20, 11, 18, 284)),
+    "l1^3*l2^2*l3": ((10, 7, 10, 80), (12, 8, 12, 112)),
+    "l1^3*l2*l3^2": ((10, 7, 10, 80), (12, 8, 12, 112)),
+    "l1^2*l2^3*l3": ((14, 9, 13, 160), (14, 10, 15, 138)),
+    "l1*l2^3*l3^2": ((14, 8, 11, 92), (14, 8, 13, 96)),
+    "l1^2*l2*l3^3": ((14, 9, 13, 160), (14, 10, 15, 138)),
+    "l1*l2^2*l3^3": ((14, 8, 11, 130), (14, 8, 13, 104)),
+    "l1*l2*l3": ((5, 4, 4, 28), (5, 4, 4, 28)),
+    "l1^2*l2": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l1^2*l3": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l1*l2^2": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l2^2*l3": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l1*l3^2": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l2*l3^2": ((2, 2, 3, 19), (2, 2, 3, 19)),
+    "l1*l2": ((1, 1, 1, 10), (1, 1, 1, 10)),
+    "l1*l3": ((1, 1, 1, 10), (1, 1, 1, 10)),
+    "l2*l3": ((1, 1, 1, 10), (1, 1, 1, 10)),
+    "l1": ((0, 0, 0, 3), (0, 0, 0, 3)),
+    "l2": ((0, 0, 0, 3), (0, 0, 0, 3)),
+    "l3": ((0, 0, 0, 3), (0, 0, 0, 3)),
 }
 
 
@@ -179,8 +180,9 @@ def test_representation_size_bounded():
             g = assemble(spec.label, gauge=gauge)
             keys = {f for m in g.generators() for row in m.entries for a in row for f in a.fac}
             base = coprime_base(keys)
-            degree = sum(max(sum(e) for e in core.terms) for core in base)
-            size = (len(keys), len(base), degree)
+            degree = sum(max(sum(e) for e, _c in core.term_items()) for core in base)
+            terms = sum(len(a.num.terms) for m in g.generators() for row in m.entries for a in row)
+            size = (len(keys), len(base), degree, terms)
             assert all(x <= b for x, b in zip(size, bound)), (spec.label.name, gauge, size, bound)
             view_keys = {f for m in g.product_view.values()
                          for row in m.entries for a in row for f in a.fac}

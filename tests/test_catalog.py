@@ -55,7 +55,7 @@ def test_weight_symmetry_and_consistency():
         for (i, j), m in wm.items():
             assert wm.get((j, i)) == m
         assert sum(sum(g3.exps) for g3 in spec.restriction) == spec.dim
-        ((exps, _c),) = spec.delta_sq.num.terms.items()
+        ((exps, _c),) = spec.delta_sq.num.term_items()
         assert sum(exps) == 12
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cubichecke import builder
+from cubichecke.catalog import catalog_regular, ideal_catalog
 from cubichecke.cli import main
 from test_serialize import MALFORMED_ENTRIES
 
@@ -314,3 +315,37 @@ def test_report_bytes_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _sweep_commands():
+    """The catalog input space: every per-ideal command, ``classify`` on every
+    unordered pair of ideals, and ``structure series`` on every (module, ideal)."""
+    ideals = [spec.name for spec in ideal_catalog()]
+    for name in ideals:
+        yield ("classify", "--ideal", name)
+        for sub in ("blocks", "sequence", "census"):
+            yield ("structure", sub, "--ideal", name)
+    for k, a in enumerate(ideals):
+        for b in ideals[k + 1 :]:
+            yield ("classify", "--ideal", a, "--ideal", b)
+    for spec in catalog_regular(4):
+        for name in ideals:
+            yield ("structure", "series", "--module", spec.label.name, "--ideal", name)
+
+
+# sha256 over one line (argv, exit code, first stderr line, sha256 of stdout)
+# per command of the sweep; an intended change of any exit code or message
+# changes it, and is recorded with the old and new digests
+SWEEP_DIGEST = "8d484a84c5f110eae01b17c07bbf7f382a09c45adb30105cd2098bd57d1ae59f"
+
+
+def test_cli_sweep_over_catalog_pinned(capsys):
+    lines = []
+    for argv in _sweep_commands():
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()[0] if captured.err else ""
+        out = hashlib.sha256(captured.out.encode()).hexdigest()
+        lines.append(repr((argv, code, err, out)))
+    assert len(lines) == 33 * 4 + 528 + 24 * 33
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_DIGEST
