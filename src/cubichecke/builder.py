@@ -309,9 +309,9 @@ def _solve_gauge(paths, s2: Matrix, s3: Matrix):
             solution[u] = val.reduce()
             progress = True
         if not progress:
-            # no residual entry pins the remaining scalars: genuinely free
-            # parameters on this locus; pin them to 1 and let the full
-            # residual decide
+            # no residual entry pins the remaining scalars, which are then
+            # free over the generic field, the only field the solver runs
+            # on; pin them to 1 and let the full residual decide
             for u in range(n_unknown):
                 if u not in solution:
                     solution[u] = RatFunc.one()

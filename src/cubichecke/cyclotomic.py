@@ -147,15 +147,8 @@ class Cyclotomic:
 
     def __pow__(self, n: int) -> "Cyclotomic":
         if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.inverse() ** -n
+        return power(self, n, ONE)
 
     # -- comparisons -----------------------------------------------------
 
@@ -203,6 +196,19 @@ def mul_numerators(a: tuple, b: tuple) -> tuple:
         a0 * b2 + a1 * b1 + a2 * b0 + t4,
         a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
     )
+
+
+def power(x, n: int, one):
+    """x^n for an int n >= 0 by square-and-multiply, with ``one`` the identity
+    of x's ring; the ring types' ``__pow__`` all go through this one loop."""
+    result = one
+    while True:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
 
 
 def _raw(n: tuple, d: int) -> Cyclotomic:

@@ -26,6 +26,7 @@ from .catalog import (
     Path,
     delta_scalar,
     enumerate_paths,
+    label2,
     spec_for,
 )
 from .errors import HypothesisViolated, PathBasisUnavailable
@@ -84,12 +85,10 @@ def block_spec(g2: ModuleLabel, g4: ModuleLabel, generator_index: int) -> AB2Blo
         nu = g4
         if nu.level != 3:
             raise ValueError("generator_index 2 expects a level-3 label")
-        constituents = [i for i in (1, 2, 3) if nu.exps[i - 1]]
-        x = tuple(RatFunc.monomial(tuple(2 if k == i - 1 else 0 for k in range(3))) for i in constituents)
-        delta = delta_scalar(nu)
-        spectrum = tuple((_lam(i), 1) for i in constituents)
-        paths = tuple(Path(ModuleLabel(2, tuple(1 if k == i - 1 else 0 for k in range(3))), nu, nu) for i in constituents)
-        return AB2BlockSpec(x, delta, spectrum, _designate(spectrum), paths)
+        paths = tuple(Path(label2(i), nu, nu) for i in (1, 2, 3) if nu.exps[i - 1])
+        x = tuple(delta_scalar(t.g2) for t in paths)
+        spectrum = tuple((_lam(t.eigen_index), 1) for t in paths)
+        return AB2BlockSpec(x, delta_scalar(nu), spectrum, _designate(spectrum), paths)
     if generator_index != 3:
         raise ValueError("generator_index must be 2 or 3")
     paths = tuple(t for t in enumerate_paths(g4) if t.g2 == g2)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .cyclotomic import MINUS_ONE, ONE, ZERO, Cyclotomic, _canon, mul_numerators
+from .cyclotomic import MINUS_ONE, ONE, ZERO, Cyclotomic, _canon, mul_numerators, power
 
 _NAMES = ("l1", "l2", "l3")
 _BIAS = 1 << 19                 # the field value of exponent 0; |e| < _BIAS
@@ -238,15 +238,8 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self.term_items()
-            return LaurentPoly.monomial(tuple(-x for x in e), c.inverse()) ** (-n)
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return LaurentPoly.monomial(tuple(-x for x in e), c.inverse()) ** -n
+        return power(self, n, LaurentPoly.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.d == other.d and self.terms == other.terms
@@ -506,12 +499,24 @@ def exact_div(f: LaurentPoly, g: LaurentPoly, budget: int | None = None) -> Laur
     return _make(quotient, scale * f.d, 0, hi)
 
 
+def multiplicity(g: LaurentPoly, f: LaurentPoly, most=None, budget=None) -> tuple[int, LaurentPoly]:
+    """(k, f / g^k) for the largest k, up to ``most`` when given, with g^k
+    dividing the ordinary polynomial f.  Without ``most``, f must be nonzero
+    and g no constant, or the count never ends.  Each division carries
+    ``budget`` as in :func:`exact_div`, so one that runs out of it ends the
+    count as an inexact one does."""
+    k = 0
+    while k != most:
+        try:
+            f = exact_div(f, g, budget)
+        except ValueError:
+            break
+        k += 1
+    return k, f
+
+
 def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
-    try:
-        exact_div(f, g)
-        return True
-    except ValueError:
-        return False
+    return multiplicity(g, f, 1)[0] == 1
 
 
 def _split(f: LaurentPoly, var: int) -> dict:
@@ -643,10 +648,6 @@ def _gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if not both:
         return LaurentPoly.one()
     var = min(both, key=lambda v: min(f.degree(v), g.degree(v)))
-    if f.degree(var) == 0:
-        return _gcd_core(f, _content_in_var(g, var))
-    if g.degree(var) == 0:
-        return _gcd_core(_content_in_var(f, var), g)
     cf = _content_in_var(f, var)
     cg = _content_in_var(g, var)
     ppf = exact_div(f, cf) if not cf.is_one() else f

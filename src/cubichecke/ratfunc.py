@@ -19,8 +19,8 @@ the representative, and ``reduce`` is idempotent.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, ONE
-from .laurent import LaurentPoly, exact_div, poly_gcd
+from .cyclotomic import Cyclotomic, ONE, power
+from .laurent import LaurentPoly, exact_div, multiplicity, poly_gcd
 
 # try factor cancellation once a numerator grows past this many terms
 _AUTO_CANCEL_SIZE = 120
@@ -137,15 +137,8 @@ class RatFunc:
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
-            return self.inv() ** (-n)
-        out = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.inv() ** -n
+        return power(self, n, RatFunc.one())
 
     # -- cancellation and normalization ----------------------------------------------
 
@@ -166,18 +159,11 @@ class RatFunc:
         shifted, mins = num.shift_nonnegative()
         budget = 2 * len(shifted.terms) + 48
         fac = {}
-        changed = False
         for f, e in self.fac.items():
-            while e > 0:
-                try:
-                    shifted = exact_div(shifted, f, budget=budget)
-                except ValueError:
-                    break
-                e -= 1
-                changed = True
-            if e:
-                fac[f] = e
-        if not changed:
+            k, shifted = multiplicity(f, shifted, e, budget)
+            if k < e:
+                fac[f] = e - k
+        if fac == self.fac:
             return self
         return RatFunc(shifted.mul_monomial(mins), fac=fac)
 
@@ -265,18 +251,6 @@ def rat_sum(items) -> RatFunc:
     return RatFunc(total, fac=lcd)._auto()
 
 
-def _multiplicity(gen: LaurentPoly, p: LaurentPoly) -> tuple[int, LaurentPoly]:
-    """(k, p / gen^k) for the largest k with gen^k dividing the nonzero
-    ordinary polynomial p."""
-    k = 0
-    while True:
-        try:
-            p = exact_div(p, gen)
-        except ValueError:
-            return k, p
-        k += 1
-
-
 def valuation(f: RatFunc, gen: LaurentPoly) -> int:
     """Order of f along the prime polynomial ``gen``; negative at a pole.
 
@@ -285,9 +259,9 @@ def valuation(f: RatFunc, gen: LaurentPoly) -> int:
     """
     if f.is_zero():
         raise ValueError("the valuation of 0 is infinite")
-    order = _multiplicity(gen, f.num.shift_nonnegative()[0])[0]
+    order = multiplicity(gen, f.num.shift_nonnegative()[0])[0]
     for p, e in f.fac.items():
-        order -= e * _multiplicity(gen, p)[0]
+        order -= e * multiplicity(gen, p)[0]
     return order
 
 
@@ -329,7 +303,7 @@ def rebase(r: RatFunc, base: list, splits: dict) -> RatFunc:
         if f not in splits:
             rest, split = f, []
             for core in base:
-                k, rest = _multiplicity(core, rest)
+                k, rest = multiplicity(core, rest)
                 if k:
                     split.append((core, k))
             if not rest.is_one():

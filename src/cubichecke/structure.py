@@ -36,7 +36,7 @@ from .catalog import (
 )
 from .cyclotomic import ZETA
 from .errors import CubicHeckeError, IncompatibleIdeals, UnidentifiedFactor
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, multiplicity
 from .matrix import Matrix, components
 from .ratfunc import RatFunc
 from .specialize import BinomialLocus
@@ -479,13 +479,7 @@ def _factor_residual(poly: LaurentPoly, free) -> list:
         ey = tuple(degree if k == y else 0 for k in range(3))
         for u in _UNITS:
             factor = LaurentPoly.monomial(ex) - LaurentPoly.monomial(ey, u)
-            power = 0
-            while True:
-                try:
-                    work = exact_div(work, factor)
-                except ValueError:
-                    break
-                power += 1
+            power, work = multiplicity(factor, work)
             if power:
                 out.append(factor)
     if not work.is_monomial():

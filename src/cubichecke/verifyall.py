@@ -39,27 +39,26 @@ from .catalog import (
     label2,
     label3,
     label4,
-    module_spec,
     perm_ideal,
     perm_label,
     perm_ratfunc,
     spec_for,
-    vanishing_for_module,
 )
 from .cyclotomic import Cyclotomic
 from .errors import IncompatibleIdeals
+from .expr import parse_label, parse_poly
 from .jm import ab2_diag, ab2_matrix, block_spec
 from .matrix import eval_matrix, num_eigenprojection, num_mat_mul
 from .ratfunc import RatFunc, rat_sum
 from .structure import (
     blocks,
     census_generic,
+    census_single,
     classify_point,
     compose_pair,
     composition_series,
     exact_sequence,
     k3_structure,
-    single_ideal_factors,
     split_on_locus,
 )
 
@@ -326,12 +325,7 @@ def _is_perm_instance(got_names, expected_classes):
     got = set(got_names)
     for p in PERMS:
         for exp in expected_classes:
-            image = set()
-            for name in exp:
-                from .expr import parse_label
-
-                image.add(perm_label(p, parse_label(name)).name)
-            if image == got:
+            if {perm_label(p, parse_label(name)).name for name in exp} == got:
                 return True
     return False
 
@@ -356,20 +350,13 @@ def check_sequences_46():
 
 def check_table3():
     for ideal_name, factor_name, dim, weights, delta in golden.TABLE3_ROWS:
-        p = ideal_by_name(ideal_name)
-        found = None
-        for spec in catalog_regular(4):
-            if p not in vanishing_for_module(spec.label):
-                continue
-            for f in single_ideal_factors(spec.label, p):
-                if f.name == factor_name:
-                    found = f
+        entries = census_single(ideal_by_name(ideal_name)).entries
+        found = next((e for e in entries if e.label.name == factor_name), None)
         if found is None:
             return _ok(False, "factor %s never appears mod %s" % (factor_name, ideal_name))
-        spec = module_spec(found)
-        if spec.dim != dim or spec.weight_multiset() != _mirrored(weights):
+        if found.dim != dim or found.weights != _mirrored(weights):
             return _ok(False, "wrong data for %s" % factor_name)
-        if not spec.delta_sq == delta:
+        if not found.delta_sq == delta:
             return _ok(False, "central scalar of %s differs from the table" % factor_name)
     return _ok(True, "all rows with dim, weights, central scalar")
 
@@ -423,8 +410,6 @@ def check_k3():
 
 
 def check_table4():
-    from .expr import parse_label, parse_poly
-
     for mod_name, n1, n2, selector, expected in golden.TABLE4_ROWS:
         module = parse_label(mod_name)
         branches = compose_pair(ideal_by_name(n1), ideal_by_name(n2))
@@ -456,23 +441,18 @@ def check_table4():
 
 def check_projection_traces():
     one = RatFunc.one()
-    for spec4 in catalog_regular(4):
-        paths = enumerate_paths(spec4.label)
-        groups: dict = {}
-        for t in paths:
-            groups.setdefault(t.g2, []).append(t)
-        for g2 in groups:
-            spec = block_spec(g2, spec4.label, 3)
-            for mu, mult in spec.a_spectrum:
-                if mult == 1:
-                    if not rat_sum(ab2_diag(spec, mu)) == one:
-                        return _ok(False, "trace != 1 in %s block of %s" % (g2, spec4.label))
-    for spec3 in catalog_regular(3):
-        spec = block_spec(None, spec3.label, 2)
+    # the S3 block of each level-4 module through each level-2 label on its
+    # paths, then each level-3 module as one S2 block
+    cases = [
+        ((g2, s.label, 3), "%s block of %s" % (g2, s.label))
+        for s in catalog_regular(4)
+        for g2 in dict.fromkeys(t.g2 for t in enumerate_paths(s.label))
+    ] + [((None, s.label, 2), "level-3 block %s" % s.label) for s in catalog_regular(3)]
+    for args, where in cases:
+        spec = block_spec(*args)
         for mu, mult in spec.a_spectrum:
-            if mult == 1:
-                if not rat_sum(ab2_diag(spec, mu)) == one:
-                    return _ok(False, "trace != 1 in level-3 block %s" % spec3.label)
+            if mult == 1 and not rat_sum(ab2_diag(spec, mu)) == one:
+                return _ok(False, "trace != 1 in %s" % where)
     return _ok(True, "every catalog block, every rank-1 eigenvalue")
 
 
@@ -525,10 +505,9 @@ def check_equivariance():
                 return _ok(False, "weights not equivariant at %s" % image)
     for name in ("l1+theta*l2", "l1^3-l2^2*l3"):
         p0 = ideal_by_name(name)
+        b0 = blocks(p0)
         for p in PERMS:
-            q = perm_ideal(p, p0)
-            b0 = blocks(p0)
-            b1 = blocks(q)
+            b1 = blocks(perm_ideal(p, p0))
             img = sorted(
                 tuple(sorted(perm_label(p, l).name for l in c)) for c in b0.classes
             )

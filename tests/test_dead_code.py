@@ -8,6 +8,7 @@ default is overridden by some call in the program."""
 
 import ast
 import math
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -250,3 +251,19 @@ def test_no_unset_defaults():
                 continue
             unset.append("%s.%s(%s)" % (path.stem, name, param))
     assert not unset, "parameters that no call sets: %s" % ", ".join(unset)
+
+
+def test_benchmark_tracer_resolves():
+    """Every layer and cache named in ``perfbench/tracer.py`` exists in the
+    library: the tracer installs and uninstalls cleanly.  A method the tracer
+    wraps but the program never calls, such as ``Cyclotomic.__add__``, would
+    otherwise break ``perfbench/run.py --trace 1`` unseen."""
+    spec = spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
+    assert set(t.stats) == {name for name, *_rest in tracer.LAYERS}

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubichecke.cyclotomic import Cyclotomic, ONE, THETA, ZERO
-from cubichecke.laurent import LaurentPoly, divides, exact_div, poly_gcd
+from cubichecke.laurent import LaurentPoly, divides, exact_div, multiplicity, poly_gcd
 from cubichecke.serialize import poly_from_json
 from test_cyclotomic import rational_value
 
@@ -276,6 +276,53 @@ def test_exact_div_matches_oracle(f, g, budget):
             assert_canonical(got)
             assert _terms(got) == want
     assert exact_div(f * g, g) == f
+
+
+def test_multiplicity_examples():
+    g = L1 - L2
+    f = g * g * g * (L1 + L3)
+    assert multiplicity(g, f) == (3, L1 + L3)
+    # ``most`` caps the count
+    assert multiplicity(g, f, 2) == (2, g * (L1 + L3))
+    # a divisor that does not go leaves f as it is
+    assert multiplicity(L1 + L2, f) == (0, f)
+    assert multiplicity(L1 * L1 + L2, L1 * L1 * L1 + L2) == (0, L1 * L1 * L1 + L2)
+    # ``budget`` caps the quotient terms of each division; f / g has 6 terms
+    assert multiplicity(g, f, budget=5) == (0, f)
+    assert multiplicity(g, f, budget=6) == (3, L1 + L3)
+    assert divides(g, f) and not divides(L1 + L2, f)
+
+
+@given(ORDINARY, ORDINARY, st.integers(min_value=0, max_value=3), st.sampled_from([None, 1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_multiplicity_splits_off_the_power(f, g, k, most):
+    assume(not f.is_zero() and not g.is_const())
+    f = f * g ** k
+    got, q = multiplicity(g, f, most)
+    assert_canonical(q)
+    assert q * g ** got == f
+    assert got >= min(k, most or k)
+    assert got == most or not divides(g, q)
+
+
+@given(POLYS, st.integers(min_value=0, max_value=6), NONZERO,
+       st.tuples(*(st.integers(min_value=-3, max_value=3) for _ in range(3))))
+@settings(max_examples=40, deadline=None)
+def test_powers_match_repeated_products(a, n, c, exps):
+    out = LaurentPoly.one()
+    for _ in range(n):
+        out = out * a
+    assert a ** n == out
+    # a negative power is defined for a monomial only
+    m = LaurentPoly.monomial(exps, c)
+    inv = LaurentPoly.monomial(tuple(-x for x in exps), c.inverse())
+    out = LaurentPoly.one()
+    for _ in range(n):
+        out = out * inv
+    assert m ** -n == out
+    if len(a.terms) > 1:
+        with pytest.raises(ValueError):
+            a ** -1
 
 
 @given(ORDINARY, ORDINARY)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubichecke.cyclotomic import Cyclotomic
@@ -119,6 +119,17 @@ def test_field_ops(a, b):
 def test_equality_survives_round_trips_and_reduce(a, b, c):
     for other in ((a * b) / b, (a + c) - c, a.reduce()):
         assert other == a
+
+
+@given(_ratfuncs(), st.integers(min_value=-3, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_powers_match_repeated_products(a, n):
+    assume(n >= 0 or not a.is_zero())
+    base = a if n >= 0 else a.inv()
+    out = RatFunc.one()
+    for _ in range(abs(n)):
+        out = out * base
+    assert a ** n == out
 
 
 def _catalog_cores():
